@@ -20,6 +20,14 @@ Repo-specific correctness rules that generic tooling cannot express:
                    the RowSpanEngine kernel ABI, which is what keeps the
                    scalar/AVX2 bit-identity argument (DESIGN.md §14)
                    auditable in one place.
+  filter-refine-site
+                   Under src/core/, the per-query machinery of the
+                   filter-and-refine loop — QueryDeadline::Start(,
+                   RefinementExecutor construction, filter::DecidePair(,
+                   paranoid::CheckInterval*, PmuStage::kIntervalDecide,
+                   RecordQueryObs( — appears only in the one driver
+                   (core/filter_refine.h). A query form that spells any of
+                   them has forked the loop again.
   metric-name      No string-literal metric names at Registry call sites:
                    every GetCounter/GetGauge/GetHistogram argument in src/
                    must be a named constant from obs/names.h (obs::k*).
@@ -190,6 +198,49 @@ def check_simd_intrinsics(path, lines, src, root):
                 "raw vector intrinsic outside glsim/rowspan_avx2.cc / "
                 "common/simd.h — go through the RowSpanEngine kernel ABI "
                 "(or justify with // lint:allow(simd-intrinsics): <reason>)",
+                root,
+            )
+
+
+# --- filter-refine-site -------------------------------------------------
+# All eight query forms run through core/filter_refine.h; the tokens below
+# are the per-query machinery that must exist there once. Their defining
+# headers (refinement_executor.h, query_obs.*, paranoid.*) live in core/
+# too and are exempt.
+FILTER_REFINE_DRIVER = os.path.join("core", "filter_refine.h")
+FILTER_REFINE_EXEMPT = {
+    FILTER_REFINE_DRIVER,
+    os.path.join("core", "refinement_executor.h"),
+    os.path.join("core", "query_obs.h"),
+    os.path.join("core", "query_obs.cc"),
+    os.path.join("core", "paranoid.h"),
+    os.path.join("core", "paranoid.cc"),
+}
+FILTER_REFINE_TOKEN = re.compile(
+    r"\bQueryDeadline::Start\s*\("
+    r"|\bRefinementExecutor\s+\w+\s*[({]"
+    r"|\bRefinementExecutor\s*[({]"
+    r"|\bDecidePair\s*\("
+    r"|\bparanoid::CheckInterval\w*\s*\("
+    r"|\bPmuStage::kIntervalDecide\b"
+    r"|\bRecordQueryObs\s*\("
+)
+
+
+def check_filter_refine_site(path, lines, src, root):
+    rel = os.path.relpath(path, src)
+    if rel.split(os.sep)[0] != "core" or rel in FILTER_REFINE_EXEMPT:
+        return
+    for i, raw in enumerate(lines, 1):
+        if allowed(raw, "filter-refine-site", lines[i - 2] if i > 1 else ""):
+            continue
+        if FILTER_REFINE_TOKEN.search(strip_comments_and_strings(raw)):
+            report(
+                path, i, "filter-refine-site",
+                "per-query filter-and-refine machinery outside "
+                "core/filter_refine.h — run the query through FilterRefine "
+                "(or justify with // lint:allow(filter-refine-site): "
+                "<reason>)",
                 root,
             )
 
@@ -591,7 +642,8 @@ def check_guarded_by(path, lines, root):
 
 # --- unknown/withered suppressions --------------------------------------
 KNOWN_RULES = {
-    "float-eq", "glsim-raw-cast", "simd-intrinsics", "metric-name",
+    "float-eq", "glsim-raw-cast", "simd-intrinsics", "filter-refine-site",
+    "metric-name",
     "status-discard", "header-guard", "include-order", "naked-mutex",
     "atomic-ordering", "guarded-by-coverage",
 }
@@ -626,6 +678,7 @@ def run(src, root):
         if top == "glsim":
             check_glsim_cast(path, lines, root)
         check_simd_intrinsics(path, lines, src, root)
+        check_filter_refine_site(path, lines, src, root)
         check_metric_name(path, lines, src, root)
         check_status_discard(path, lines, root)
         check_naked_mutex(path, lines, src, root)

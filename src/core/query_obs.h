@@ -13,6 +13,10 @@ namespace hasj::core {
 // Intermediate-filter decision tallies a pipeline run reports alongside
 // its StageCounts (zero for pipelines without the corresponding filter).
 struct QueryObsTallies {
+  // 0-/1-Object distance-bound accepts: reported in the distance forms'
+  // results; the sinks see them only inside StageCounts::filter_hits.
+  int64_t zero_object_hits = 0;
+  int64_t one_object_hits = 0;
   int64_t raster_positives = 0;   // raster-signature filter decisions
   int64_t raster_negatives = 0;
   int64_t interval_hits = 0;      // raster-interval filter decisions

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/batch_tester.h"
 #include "core/hw_config.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -56,31 +54,25 @@ struct RefinementOutcome {
 // serial loop with a single tester, 0 means hardware concurrency.
 class RefinementExecutor {
  public:
-  explicit RefinementExecutor(int num_threads)
-      : threads_(ThreadPool::ResolveThreadCount(num_threads)) {
+  // `hw` supplies the observability sinks (worker trace tracks and chunk
+  // spans; per-worker queue wait into the pool.queue_wait_us histogram)
+  // and the fault injector, whose kPoolTask site can fail worker chunks —
+  // exercising the thread pool's exception surface end-to-end (the chunk
+  // body throws, the pool catches at the chunk boundary, Refine reports
+  // kInternal with a prefix result). `deadline` (null = none) is polled at
+  // stride/chunk boundaries, truncating to a candidate prefix on expiry;
+  // it must outlive the executor.
+  RefinementExecutor(int num_threads, const HwConfig& hw,
+                     const QueryDeadline* deadline)
+      : threads_(ThreadPool::ResolveThreadCount(num_threads)),
+        trace_(hw.trace),
+        metrics_(hw.metrics),
+        deadline_(deadline),
+        faults_(hw.faults) {
     if (threads_ > 1) pool_.emplace(threads_);
   }
 
   int threads() const { return threads_; }
-
-  // Attaches the query's trace session and metrics registry (both may be
-  // null, the default): workers name their trace tracks, chunks get spans,
-  // and per-worker queue wait lands in the pool.queue_wait_us histogram.
-  void SetObservability(obs::TraceSession* trace, obs::Registry* metrics) {
-    trace_ = trace;
-    metrics_ = metrics;
-  }
-
-  // Attaches the query's resolved deadline (null = none): Refine and
-  // RefineBatches then poll it at chunk/batch boundaries and truncate to a
-  // candidate prefix on expiry. The deadline object must outlive the calls.
-  void SetDeadline(const QueryDeadline* deadline) { deadline_ = deadline; }
-
-  // Attaches the fault injector (null = none) so the kPoolTask site can
-  // fail worker chunks — exercising the thread pool's exception surface
-  // end-to-end (the chunk body throws, the pool catches at the chunk
-  // boundary, the executor reports kInternal with a prefix result).
-  void SetFaults(FaultInjector* faults) { faults_ = faults; }
 
   // Chunked parallel loop over [0, n): body(begin, end, worker). Runs
   // inline when the executor is serial. Used by the pipelines to pre-build
@@ -97,120 +89,36 @@ class RefinementExecutor {
     return status;
   }
 
-  // test(tester, item) -> keep? with tester built once per worker by
-  // make_tester(). Returns accepted items in input order plus merged
-  // counters.
-  template <typename Item, typename MakeTester, typename Test>
+  // Refines `items`: decide(tester, begin, end, verdicts) writes the
+  // keep/drop verdict of items [begin, end) to verdicts[begin, end), with
+  // the tester built once per worker by make_tester() — calling a
+  // per-pair tester once per item, or BatchHardwareTester once for the
+  // whole range. The serial path polls the deadline every
+  // `stride` items (the budget can overrun by at most one stride); the
+  // parallel path polls per chunk. Returns the accepted items in input
+  // order plus the testers' counters merged in worker order.
+  template <typename Item, typename MakeTester, typename Decide>
   RefinementOutcome<Item> Refine(const std::vector<Item>& items,
-                                 MakeTester&& make_tester, Test&& test) const {
+                                 MakeTester&& make_tester, int64_t stride,
+                                 Decide&& decide) const {
     RefinementOutcome<Item> out;
     const int64_t n = static_cast<int64_t>(items.size());
     const bool guarded = deadline_ != nullptr && deadline_->active();
+    verdict_.assign(items.size(), 0);
     if (!pool_.has_value() || n <= 1) {
       HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs", n);
       auto tester = make_tester();
-      out.accepted.reserve(items.size());
       out.attempted = n;
-      for (int64_t i = 0; i < n; ++i) {
-        // kDeadlineStride amortizes the clock read; the budget can overrun
-        // by at most one stride's worth of pairs.
-        if (guarded && (i % kDeadlineStride) == 0 && deadline_->Expired()) {
+      const int64_t step = guarded ? std::max<int64_t>(1, stride) : n;
+      for (int64_t off = 0; off < n; off += step) {
+        if (guarded && deadline_->Expired()) {
           out.status = deadline_->ToStatus();
-          out.attempted = i;
+          out.attempted = off;
           break;
         }
-        const Item& item = items[static_cast<size_t>(i)];
-        if (test(tester, item)) out.accepted.push_back(item);
+        decide(tester, off, std::min(off + step, n), verdict_.data());
       }
-      out.counters = tester.counters();
-      return out;
-    }
-
-    using Tester = decltype(make_tester());
-    std::vector<Tester> testers;
-    testers.reserve(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) testers.push_back(make_tester());
-
-    named_.assign(static_cast<size_t>(threads_), 0);
-    verdict_.assign(items.size(), 0);
-    tested_.assign(items.size(), 0);
-    const Status pool_status = pool_->ParallelFor(
-        n, Grain(n), [&](int64_t begin, int64_t end, int worker) {
-          MaybeInjectPoolFault();
-          if (guarded && deadline_->Expired()) return;  // skip, stays untested
-          NameWorkerTrack(named_, worker);
-          HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs",
-                           end - begin);
-          Tester& tester = testers[static_cast<size_t>(worker)];
-          for (int64_t i = begin; i < end; ++i) {
-            verdict_[static_cast<size_t>(i)] =
-                test(tester, items[static_cast<size_t>(i)]) ? 1 : 0;
-            tested_[static_cast<size_t>(i)] = 1;
-          }
-        });
-    RecordPoolWait();
-
-    GatherPrefix(items, verdict_, tested_, pool_status, &out);
-    for (const Tester& tester : testers) out.counters += tester.counters();
-    return out;
-  }
-
-  // Batched variant of Refine() for BatchHardwareTester (hw_config
-  // use_batching): workers drain their candidate chunks through
-  // test_batch(tester, pairs, verdicts) instead of one call per item, and
-  // the tester amortizes the hardware step over atlas-sized sub-batches.
-  // to_pair(item) -> PolygonPair resolves items to dataset polygons once,
-  // up front. Output order and counter totals are identical to Refine()
-  // with the per-pair tester at every thread count (the batch tester's
-  // decisions are identical by construction, and the verdict-array gather
-  // is the same).
-  template <typename Item, typename MakeTester, typename ToPair,
-            typename TestBatch>
-  RefinementOutcome<Item> RefineBatches(const std::vector<Item>& items,
-                                        MakeTester&& make_tester,
-                                        ToPair&& to_pair,
-                                        TestBatch&& test_batch) const {
-    RefinementOutcome<Item> out;
-    const int64_t n = static_cast<int64_t>(items.size());
-    const bool guarded = deadline_ != nullptr && deadline_->active();
-    // Member scratch: repeated RefineBatches calls (the steady state of a
-    // batched query loop) reuse the vectors' capacity instead of
-    // reallocating the pair/verdict arrays per call.
-    pairs_.resize(items.size());
-    verdict_.assign(items.size(), 0);
-    if (!pool_.has_value() || n <= 1) {
-      HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs", n);
-      auto tester = make_tester();
-      for (size_t i = 0; i < items.size(); ++i) pairs_[i] = to_pair(items[i]);
-      out.attempted = n;
-      if (n > 0 && !guarded) {
-        test_batch(tester, std::span<const PolygonPair>(pairs_),
-                   verdict_.data());
-      } else if (n > 0) {
-        // Deadline active: hand the tester one atlas-batch-sized slice at a
-        // time so the budget is polled at refinement-batch boundaries.
-        // Verdicts are per-pair, so slicing never changes them.
-        const int64_t stride =
-            std::max<int64_t>(1, tester.config().batch_size);
-        for (int64_t off = 0; off < n; off += stride) {
-          if (deadline_->Expired()) {
-            out.status = deadline_->ToStatus();
-            out.attempted = off;
-            break;
-          }
-          const size_t len =
-              static_cast<size_t>(std::min<int64_t>(stride, n - off));
-          test_batch(tester,
-                     std::span<const PolygonPair>(pairs_.data() + off, len),
-                     verdict_.data() + off);
-        }
-      }
-      out.accepted.reserve(items.size());
-      for (int64_t i = 0; i < out.attempted; ++i) {
-        if (verdict_[static_cast<size_t>(i)]) {
-          out.accepted.push_back(items[static_cast<size_t>(i)]);
-        }
-      }
+      Gather(items, out.attempted, &out);
       out.counters = tester.counters();
       return out;
     }
@@ -229,31 +137,32 @@ class RefinementExecutor {
           NameWorkerTrack(named_, worker);
           HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs",
                            end - begin);
-          for (int64_t i = begin; i < end; ++i) {
-            pairs_[static_cast<size_t>(i)] =
-                to_pair(items[static_cast<size_t>(i)]);
-          }
-          Tester& tester = testers[static_cast<size_t>(worker)];
-          test_batch(tester,
-                     std::span<const PolygonPair>(
-                         pairs_.data() + begin,
-                         static_cast<size_t>(end - begin)),
-                     verdict_.data() + begin);
-          for (int64_t i = begin; i < end; ++i) {
-            tested_[static_cast<size_t>(i)] = 1;
-          }
+          decide(testers[static_cast<size_t>(worker)], begin, end,
+                 verdict_.data());
+          std::fill(tested_.begin() + begin, tested_.begin() + end, 1);
         });
     RecordPoolWait();
 
-    GatherPrefix(items, verdict_, tested_, pool_status, &out);
+    // The accepted items are the verdicts over the fully-tested candidate
+    // prefix, in candidate order. With no truncation the prefix is
+    // everything and the output is byte-identical to the serial loop at
+    // every thread count; with truncation (deadline skip or a failed
+    // worker task) it is a prefix of that output.
+    const auto untested = std::find(tested_.begin(), tested_.end(), 0);
+    const int64_t prefix = untested - tested_.begin();
+    Gather(items, prefix, &out);
+    if (!pool_status.ok()) {
+      out.status = pool_status;
+    } else if (prefix < n) {
+      out.status = deadline_ != nullptr
+                       ? deadline_->ToStatus()
+                       : Status::DeadlineExceeded("refinement truncated");
+    }
     for (const Tester& tester : testers) out.counters += tester.counters();
     return out;
   }
 
  private:
-  // Serial-path deadline poll stride (pairs between clock reads).
-  static constexpr int64_t kDeadlineStride = 64;
-
   // ~8 handouts per worker: coarse enough that the shared cursor is cold,
   // fine enough that one slow chunk cannot serialize the tail.
   int64_t Grain(int64_t n) const {
@@ -270,38 +179,16 @@ class RefinementExecutor {
     }
   }
 
-  // Serial gather of the parallel paths: accepted = verdicts over the
-  // fully-tested candidate prefix, in candidate order. With no truncation
-  // the prefix is everything and the output is byte-identical to the
-  // serial loop at every thread count; with truncation (deadline skip or a
-  // failed worker task) it is a prefix of that output.
+  // Accepted = items[0, prefix) whose verdict is keep, in input order.
   template <typename Item>
-  void GatherPrefix(const std::vector<Item>& items,
-                    const std::vector<uint8_t>& verdict,
-                    const std::vector<uint8_t>& tested,
-                    const Status& pool_status,
-                    RefinementOutcome<Item>* out) const {
-    const int64_t n = static_cast<int64_t>(items.size());
-    int64_t prefix = n;
-    for (int64_t i = 0; i < n; ++i) {
-      if (!tested[static_cast<size_t>(i)]) {
-        prefix = i;
-        break;
-      }
-    }
+  void Gather(const std::vector<Item>& items, int64_t prefix,
+              RefinementOutcome<Item>* out) const {
     out->attempted = prefix;
     out->accepted.reserve(static_cast<size_t>(prefix));
     for (int64_t i = 0; i < prefix; ++i) {
-      if (verdict[static_cast<size_t>(i)]) {
+      if (verdict_[static_cast<size_t>(i)]) {
         out->accepted.push_back(items[static_cast<size_t>(i)]);
       }
-    }
-    if (!pool_status.ok()) {
-      out->status = pool_status;
-    } else if (prefix < n) {
-      out->status = deadline_ != nullptr ? deadline_->ToStatus()
-                                         : Status::DeadlineExceeded(
-                                               "refinement truncated");
     }
   }
 
@@ -327,18 +214,17 @@ class RefinementExecutor {
 
   int threads_;
   mutable std::optional<ThreadPool> pool_;
-  // Gather scratch reused across Refine/RefineBatches calls (capacity
-  // persists; assign() only rewrites contents). Mutable for the same
-  // reason as pool_: the executor runs one refinement stage at a time, so
-  // the const entry points may use per-executor scratch.
-  mutable std::vector<PolygonPair> pairs_;
+  // Gather scratch reused across Refine calls (capacity persists;
+  // assign() only rewrites contents). Mutable for the same reason as
+  // pool_: the executor runs one refinement stage at a time, so the const
+  // entry points may use per-executor scratch.
   mutable std::vector<uint8_t> verdict_;
   mutable std::vector<uint8_t> tested_;
   mutable std::vector<uint8_t> named_;
-  obs::TraceSession* trace_ = nullptr;
-  obs::Registry* metrics_ = nullptr;
-  const QueryDeadline* deadline_ = nullptr;
-  FaultInjector* faults_ = nullptr;
+  obs::TraceSession* trace_;
+  obs::Registry* metrics_;
+  const QueryDeadline* deadline_;
+  FaultInjector* faults_;
 };
 
 }  // namespace hasj::core

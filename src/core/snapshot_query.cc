@@ -1,15 +1,10 @@
 #include "core/snapshot_query.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "common/cancel.h"
-#include "core/batch_tester.h"
-#include "core/hw_distance.h"
-#include "core/hw_intersection.h"
-#include "core/paranoid.h"
-#include "core/refinement_executor.h"
+#include "core/filter_refine.h"
 #include "filter/interval_approx.h"
-#include "filter/object_filters.h"
 #include "geom/box.h"
 #include "index/dynamic_rtree.h"
 
@@ -18,22 +13,35 @@ namespace hasj::core {
 namespace {
 
 using data::VersionedDataset;
+using Pair = std::pair<int64_t, int64_t>;
 
-// The interval grid in effect for a query: the ladder consults intervals
-// only at its last rung, where the hardware testers are off.
-const filter::SlotIntervalGrid* EffectiveGrid(
-    const filter::SlotIntervalGrid* grid, DegradeLevel level) {
-  return level >= DegradeLevel::kIntervalsOnly ? grid : nullptr;
+// The driver spec of a snapshot query: the ladder's config, serial (the
+// server parallelizes across queries, not inside one).
+FilterRefineSpec SnapshotSpec(const char* kind,
+                              const SnapshotQueryOptions& options,
+                              bool within = false, double d = 0.0) {
+  return {.kind = kind,
+          .hw = DegradedHwConfig(options.hw, options.use_hw, options.degrade),
+          .within = within,
+          .d = d,
+          .sw_intersect = options.sw_intersect,
+          .sw_distance = options.sw_distance};
 }
 
-// Shared refinement tail: serial executor wired to the query's deadline
-// and fault injector (the server parallelizes across queries, not inside
-// one).
-void ConfigureExecutor(RefinementExecutor* executor, const HwConfig& hw,
-                       const QueryDeadline* deadline) {
-  executor->SetObservability(hw.trace, hw.metrics);
-  executor->SetDeadline(deadline);
-  executor->SetFaults(hw.faults);
+// Attaches the slot grids the ladder consults (the query object is
+// approximated on the selection grid); null grids leave intervals off.
+Status UseGrids(const SnapshotQueryOptions& options, const geom::Polygon* query,
+                FilterStages* stages) {
+  if (!stages->use_intervals || options.intervals == nullptr) {
+    return Status::Ok();
+  }
+  stages->intervals_a.Use(options.intervals);
+  if (query != nullptr) {
+    stages->intervals_b.Fix(options.intervals->Approximate(*query));
+  } else if (options.intervals_b != nullptr) {
+    stages->intervals_b.Use(options.intervals_b);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -47,368 +55,116 @@ HwConfig DegradedHwConfig(const HwConfig& hw, bool use_hw,
     out.resolution = std::min(out.resolution, 4);
   }
   if (level >= DegradeLevel::kIntervalsOnly) out.enable_hw = false;
+  out.use_intervals = level >= DegradeLevel::kIntervalsOnly;
   return out;
 }
 
 SnapshotQueryResult SnapshotSelection(const VersionedDataset::Snapshot& snap,
                                       const geom::Polygon& query,
                                       const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<int64_t> candidates = snap.QueryIntersects(query.Bounds());
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid =
-      EffectiveGrid(options.intervals, options.degrade);
-  filter::ObjectIntervals query_intervals;
-  if (grid != nullptr) query_intervals = grid->Approximate(query);
-
-  const bool guarded = deadline.active();
-  std::vector<int64_t> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const int64_t id = candidates[ci];
-    if (grid != nullptr) {
-      switch (filter::DecidePair(query_intervals,
-                                 grid->Get(id, snap.polygon(id)))) {
-        case filter::IntervalVerdict::kHit:
-          HASJ_PARANOID_ONLY(
-              paranoid::CheckIntervalAccept(snap.polygon(id), query, hw));
-          result.ids.push_back(id);
-          ++result.interval_hits;
-          continue;
-        case filter::IntervalVerdict::kMiss:
-          HASJ_PARANOID_ONLY(
-              paranoid::CheckIntervalReject(snap.polygon(id), query, hw));
-          ++result.interval_misses;
-          continue;
-        case filter::IntervalVerdict::kInconclusive:
-          break;
-      }
-    }
-    undecided.push_back(id);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<int64_t> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw, options.sw_intersect); },
-        [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
-        [](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-           uint8_t* verdicts) { tester.TestIntersectionBatch(pairs, verdicts); });
-  } else {
-    refined = executor.Refine(
-        undecided,
-        [&] { return HwIntersectionTester(hw, options.sw_intersect); },
-        [&](HwIntersectionTester& tester, int64_t id) {
-          return tester.Test(snap.polygon(id), query);
-        });
-  }
-  result.ids.insert(result.ids.end(), refined.accepted.begin(),
-                    refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  return Publish<SnapshotQueryResult>(FilterRefine<int64_t>(
+      SnapshotSpec("selection", options),
+      [&] { return snap.QueryIntersects(query.Bounds()); },
+      [&](FilterStages& stages) { return UseGrids(options, &query, &stages); },
+      [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; }));
 }
 
 SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& a,
                                  const VersionedDataset::Snapshot& b,
                                  const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<std::pair<int64_t, int64_t>> candidates =
-      index::JoinIntersects(a.index(), b.index());
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid_a =
-      EffectiveGrid(options.intervals, options.degrade);
-  const filter::SlotIntervalGrid* grid_b =
-      EffectiveGrid(options.intervals_b, options.degrade);
-
-  const bool guarded = deadline.active();
-  std::vector<std::pair<int64_t, int64_t>> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const auto& [ida, idb] = candidates[ci];
-    if (grid_a != nullptr && grid_b != nullptr) {
-      switch (filter::DecidePair(grid_a->Get(ida, a.polygon(ida)),
-                                 grid_b->Get(idb, b.polygon(idb)))) {
-        case filter::IntervalVerdict::kHit:
-          HASJ_PARANOID_ONLY(paranoid::CheckIntervalAccept(
-              a.polygon(ida), b.polygon(idb), hw));
-          result.pairs.emplace_back(ida, idb);
-          ++result.interval_hits;
-          continue;
-        case filter::IntervalVerdict::kMiss:
-          HASJ_PARANOID_ONLY(paranoid::CheckIntervalReject(
-              a.polygon(ida), b.polygon(idb), hw));
-          ++result.interval_misses;
-          continue;
-        case filter::IntervalVerdict::kInconclusive:
-          break;
-      }
-    }
-    undecided.emplace_back(ida, idb);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<std::pair<int64_t, int64_t>> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw, options.sw_intersect); },
-        [&](const std::pair<int64_t, int64_t>& c) {
-          return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
-        },
-        [](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-           uint8_t* verdicts) { tester.TestIntersectionBatch(pairs, verdicts); });
-  } else {
-    refined = executor.Refine(
-        undecided,
-        [&] { return HwIntersectionTester(hw, options.sw_intersect); },
-        [&](HwIntersectionTester& tester, const std::pair<int64_t, int64_t>& c) {
-          return tester.Test(a.polygon(c.first), b.polygon(c.second));
-        });
-  }
-  result.pairs.insert(result.pairs.end(), refined.accepted.begin(),
-                      refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  return Publish<SnapshotQueryResult>(FilterRefine<Pair>(
+      SnapshotSpec("join", options),
+      [&] { return index::JoinIntersects(a.index(), b.index()); },
+      [&](FilterStages& stages) { return UseGrids(options, nullptr, &stages); },
+      [&](const Pair& c) {
+        return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
+      }));
 }
 
 SnapshotQueryResult SnapshotDistanceSelection(
     const VersionedDataset::Snapshot& snap, const geom::Polygon& query,
     double d, const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<int64_t> candidates =
-      snap.QueryWithinDistance(query.Bounds(), d);
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  // Accept-only interval use (a TRUE-HIT intersection implies distance
-  // 0 <= d; misses prove nothing about the gap).
-  const filter::SlotIntervalGrid* grid =
-      d >= 0.0 ? EffectiveGrid(options.intervals, options.degrade) : nullptr;
-  filter::ObjectIntervals query_intervals;
-  if (grid != nullptr) query_intervals = grid->Approximate(query);
-
-  const bool guarded = deadline.active();
-  std::vector<int64_t> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const int64_t id = candidates[ci];
-    const geom::Box& mbr = snap.mbr(id);
-    if (filter::ZeroObjectUpperBound(mbr, query.Bounds()) <= d) {
-      result.ids.push_back(id);
-      continue;
-    }
-    if (filter::OneObjectUpperBound(query, mbr) <= d) {
-      result.ids.push_back(id);
-      continue;
-    }
-    if (grid != nullptr &&
-        filter::DecidePair(query_intervals, grid->Get(id, snap.polygon(id))) ==
-            filter::IntervalVerdict::kHit) {
-      HASJ_PARANOID_ONLY(
-          paranoid::CheckIntervalAccept(snap.polygon(id), query, hw));
-      result.ids.push_back(id);
-      ++result.interval_hits;
-      continue;
-    }
-    undecided.push_back(id);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<int64_t> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided,
-        [&] { return BatchHardwareTester(hw, {}, options.sw_distance); },
-        [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
-        [d](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-            uint8_t* verdicts) {
-          tester.TestWithinDistanceBatch(pairs, d, verdicts);
-        });
-  } else {
-    refined = executor.Refine(
-        undecided, [&] { return HwDistanceTester(hw, options.sw_distance); },
-        [&](HwDistanceTester& tester, int64_t id) {
-          return tester.Test(snap.polygon(id), query, d);
-        });
-  }
-  result.ids.insert(result.ids.end(), refined.accepted.begin(),
-                    refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  return Publish<SnapshotQueryResult>(FilterRefine<int64_t>(
+      SnapshotSpec("distance_selection", options, true, d),
+      [&] { return snap.QueryWithinDistance(query.Bounds(), d); },
+      [&](FilterStages& stages) { return UseGrids(options, &query, &stages); },
+      [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; }));
 }
 
 SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& a,
                                          const VersionedDataset::Snapshot& b,
                                          double d,
                                          const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<std::pair<int64_t, int64_t>> candidates =
-      index::JoinWithinDistance(a.index(), b.index(), d);
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid_a =
-      d >= 0.0 ? EffectiveGrid(options.intervals, options.degrade) : nullptr;
-  const filter::SlotIntervalGrid* grid_b =
-      d >= 0.0 ? EffectiveGrid(options.intervals_b, options.degrade) : nullptr;
-
-  const bool guarded = deadline.active();
-  std::vector<std::pair<int64_t, int64_t>> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const auto& [ida, idb] = candidates[ci];
-    const geom::Box& ba = a.mbr(ida);
-    const geom::Box& bb = b.mbr(idb);
-    if (filter::ZeroObjectUpperBound(ba, bb) <= d) {
-      result.pairs.emplace_back(ida, idb);
-      continue;
-    }
-    const bool a_larger = ba.Area() >= bb.Area();
-    const geom::Polygon& larger = a_larger ? a.polygon(ida) : b.polygon(idb);
-    const geom::Box& other = a_larger ? bb : ba;
-    if (filter::OneObjectUpperBound(larger, other) <= d) {
-      result.pairs.emplace_back(ida, idb);
-      continue;
-    }
-    if (grid_a != nullptr && grid_b != nullptr &&
-        filter::DecidePair(grid_a->Get(ida, a.polygon(ida)),
-                           grid_b->Get(idb, b.polygon(idb))) ==
-            filter::IntervalVerdict::kHit) {
-      HASJ_PARANOID_ONLY(paranoid::CheckIntervalAccept(a.polygon(ida),
-                                                       b.polygon(idb), hw));
-      result.pairs.emplace_back(ida, idb);
-      ++result.interval_hits;
-      continue;
-    }
-    undecided.emplace_back(ida, idb);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<std::pair<int64_t, int64_t>> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided,
-        [&] { return BatchHardwareTester(hw, {}, options.sw_distance); },
-        [&](const std::pair<int64_t, int64_t>& c) {
-          return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
-        },
-        [d](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-            uint8_t* verdicts) {
-          tester.TestWithinDistanceBatch(pairs, d, verdicts);
-        });
-  } else {
-    refined = executor.Refine(
-        undecided, [&] { return HwDistanceTester(hw, options.sw_distance); },
-        [&](HwDistanceTester& tester, const std::pair<int64_t, int64_t>& c) {
-          return tester.Test(a.polygon(c.first), b.polygon(c.second), d);
-        });
-  }
-  result.pairs.insert(result.pairs.end(), refined.accepted.begin(),
-                      refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  return Publish<SnapshotQueryResult>(FilterRefine<Pair>(
+      SnapshotSpec("distance_join", options, true, d),
+      [&] { return index::JoinWithinDistance(a.index(), b.index(), d); },
+      [&](FilterStages& stages) { return UseGrids(options, nullptr, &stages); },
+      [&](const Pair& c) {
+        return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
+      }));
 }
 
-std::vector<int64_t> OracleSelection(const VersionedDataset::Snapshot& snap,
-                                     const geom::Polygon& query) {
+namespace {
+
+// An oracle's exact verdict: the software predicate behind the sound MBR
+// pre-check (disjoint boxes, or boxes farther apart than d, rule a pair
+// out), which keeps the oracles usable at chaos-suite query counts.
+bool OracleMatch(const geom::Polygon& p, const geom::Polygon& q,
+                 std::optional<double> d) {
+  if (!d.has_value()) {
+    return p.Bounds().Intersects(q.Bounds()) && algo::PolygonsIntersect(p, q);
+  }
+  return geom::MinDistance(p.Bounds(), q.Bounds()) <= *d &&
+         algo::WithinDistance(p, q, *d);
+}
+
+std::vector<int64_t> OracleScan(const VersionedDataset::Snapshot& snap,
+                                const geom::Polygon& query,
+                                std::optional<double> d) {
   std::vector<int64_t> out;
-  const geom::Box window = query.Bounds();
   for (const int64_t id : snap.LiveIds()) {
-    // The MBR pre-check is sound (disjoint boxes ⇒ disjoint polygons) and
-    // keeps the oracle usable at chaos-suite query counts.
-    if (!snap.mbr(id).Intersects(window)) continue;
-    if (algo::PolygonsIntersect(snap.polygon(id), query)) out.push_back(id);
+    if (OracleMatch(snap.polygon(id), query, d)) out.push_back(id);
   }
   return out;
 }
 
-std::vector<std::pair<int64_t, int64_t>> OracleJoin(
-    const VersionedDataset::Snapshot& a, const VersionedDataset::Snapshot& b) {
-  std::vector<std::pair<int64_t, int64_t>> out;
+std::vector<Pair> OracleScan(const VersionedDataset::Snapshot& a,
+                             const VersionedDataset::Snapshot& b,
+                             std::optional<double> d) {
+  std::vector<Pair> out;
   const std::vector<int64_t> ids_b = b.LiveIds();
   for (const int64_t ida : a.LiveIds()) {
-    const geom::Box& box_a = a.mbr(ida);
     for (const int64_t idb : ids_b) {
-      if (!box_a.Intersects(b.mbr(idb))) continue;
-      if (algo::PolygonsIntersect(a.polygon(ida), b.polygon(idb))) {
+      if (OracleMatch(a.polygon(ida), b.polygon(idb), d)) {
         out.emplace_back(ida, idb);
       }
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<int64_t> OracleSelection(const VersionedDataset::Snapshot& snap,
+                                     const geom::Polygon& query) {
+  return OracleScan(snap, query, std::nullopt);
+}
+
+std::vector<Pair> OracleJoin(const VersionedDataset::Snapshot& a,
+                             const VersionedDataset::Snapshot& b) {
+  return OracleScan(a, b, std::nullopt);
 }
 
 std::vector<int64_t> OracleDistanceSelection(
     const VersionedDataset::Snapshot& snap, const geom::Polygon& query,
     double d) {
-  std::vector<int64_t> out;
-  const geom::Box window = query.Bounds();
-  for (const int64_t id : snap.LiveIds()) {
-    if (geom::MinDistance(snap.mbr(id), window) > d) continue;
-    if (algo::WithinDistance(snap.polygon(id), query, d)) out.push_back(id);
-  }
-  return out;
+  return OracleScan(snap, query, d);
 }
 
-std::vector<std::pair<int64_t, int64_t>> OracleDistanceJoin(
-    const VersionedDataset::Snapshot& a, const VersionedDataset::Snapshot& b,
-    double d) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  const std::vector<int64_t> ids_b = b.LiveIds();
-  for (const int64_t ida : a.LiveIds()) {
-    const geom::Box& box_a = a.mbr(ida);
-    for (const int64_t idb : ids_b) {
-      if (geom::MinDistance(box_a, b.mbr(idb)) > d) continue;
-      if (algo::WithinDistance(a.polygon(ida), b.polygon(idb), d)) {
-        out.emplace_back(ida, idb);
-      }
-    }
-  }
-  return out;
+std::vector<Pair> OracleDistanceJoin(const VersionedDataset::Snapshot& a,
+                                     const VersionedDataset::Snapshot& b,
+                                     double d) {
+  return OracleScan(a, b, d);
 }
 
 }  // namespace hasj::core

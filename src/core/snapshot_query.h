@@ -34,8 +34,9 @@ enum class DegradeLevel {
   kIntervalsOnly = 3,
 };
 
-// The hardware config a query actually runs with at `level`. Split out so
-// tests can assert the ladder deterministically.
+// The hardware config a query actually runs with at `level`: use_intervals
+// is set exactly at kIntervalsOnly, the only rung that consults the slot
+// grids. Split out so tests can assert the ladder deterministically.
 HwConfig DegradedHwConfig(const HwConfig& hw, bool use_hw, DegradeLevel level);
 
 struct SnapshotQueryOptions {
@@ -61,9 +62,12 @@ struct SnapshotQueryResult {
   int64_t interval_hits = 0;
   int64_t interval_misses = 0;
   HwCounters hw_counters;
-  // Ok for a complete run; kDeadlineExceeded / kCancelled results are
-  // partial and must not be served as exact.
+  // Ok for a complete run. On kDeadlineExceeded (budget or cancellation)
+  // or kInternal the result is partial — an exact prefix of the complete
+  // one in candidate order (DESIGN.md §11) — truncated is set, and it must
+  // not be served as exact.
   Status status;
+  bool truncated = false;
 };
 
 // Snapshot-pinned query forms for the mutable store: each runs entirely

@@ -21,8 +21,10 @@
 #include "core/distance_selection.h"
 #include "core/join.h"
 #include "core/selection.h"
+#include "core/snapshot_query.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "data/versioned_dataset.h"
 
 namespace hasj::core {
 namespace {
@@ -361,6 +363,69 @@ TEST(ChaosFaultTest, TinyDeadlineTruncatesToAPrefix) {
       EXPECT_TRUE(r.counts.truncated);
       EXPECT_LT(r.counts.results, baseline.counts.results);
       EXPECT_TRUE(IsPrefix(r.pairs, baseline.pairs));
+    }
+  }
+}
+
+// The snapshot forms follow the same truncation contract as the static
+// pipelines: on expiry they stop deciding, skip refinement, and return a
+// flagged prefix of the complete result.
+SnapshotQueryResult RunSnapshotForm(int form,
+                                    const data::VersionedDataset::Snapshot& snap,
+                                    const geom::Polygon& query,
+                                    const SnapshotQueryOptions& options) {
+  switch (form) {
+    case 0:
+      return SnapshotSelection(snap, query, options);
+    case 1:
+      return SnapshotJoin(snap, snap, options);
+    case 2:
+      return SnapshotDistanceSelection(snap, query, 2.0, options);
+    default:
+      return SnapshotDistanceJoin(snap, snap, 1.0, options);
+  }
+}
+
+TEST(ChaosFaultTest, SnapshotFormsTruncateToAPrefix) {
+  const data::Dataset ds = MakeDataset(921, 90, 0.4);
+  const data::Dataset queries = MakeDataset(922, 1, 0.0);
+  data::VersionedDataset store("chaos", ds.size());
+  ASSERT_TRUE(store.SeedFrom(ds).ok());
+  const data::VersionedDataset::Snapshot snap = store.snapshot();
+  const geom::Polygon& query = queries.polygon(0);
+  for (int form = 0; form < 4; ++form) {
+    SCOPED_TRACE("snapshot form " + std::to_string(form));
+    SnapshotQueryOptions options;
+    const SnapshotQueryResult baseline =
+        RunSnapshotForm(form, snap, query, options);
+    ASSERT_TRUE(baseline.status.ok());
+    ASSERT_FALSE(baseline.truncated);
+    ASSERT_GT(baseline.ids.size() + baseline.pairs.size(), 0u);
+
+    // Pre-cancelled: truncated at the first poll, before any decision.
+    CancelToken cancel;
+    cancel.Cancel();
+    options.hw.cancel = &cancel;
+    const SnapshotQueryResult cancelled =
+        RunSnapshotForm(form, snap, query, options);
+    EXPECT_EQ(cancelled.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(cancelled.truncated);
+    EXPECT_TRUE(cancelled.ids.empty());
+    EXPECT_TRUE(cancelled.pairs.empty());
+    EXPECT_EQ(cancelled.hw_counters.tests, 0);
+
+    // A deadline far below one refinement batch, per-pair and batched.
+    options.hw.cancel = nullptr;
+    options.hw.deadline_ms = 1e-6;
+    for (const bool batched : {false, true}) {
+      options.hw.use_batching = batched;
+      const SnapshotQueryResult r = RunSnapshotForm(form, snap, query, options);
+      EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << batched;
+      EXPECT_TRUE(r.truncated);
+      EXPECT_TRUE(IsPrefix(r.ids, baseline.ids));
+      EXPECT_TRUE(IsPrefix(r.pairs, baseline.pairs));
+      EXPECT_LT(r.ids.size() + r.pairs.size(),
+                baseline.ids.size() + baseline.pairs.size());
     }
   }
 }

@@ -7,6 +7,8 @@
 #include "algo/polygon_distance.h"
 #include "common/random.h"
 #include "data/generator.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 
 namespace hasj::core {
 namespace {
@@ -97,6 +99,28 @@ TEST(DistanceSelectionTest, ZeroCandidatesFarAway) {
   const DistanceSelectionResult r = selection.Run(query, 5.0);
   EXPECT_TRUE(r.ids.empty());
   EXPECT_EQ(r.counts.candidates, 0);
+}
+
+// Intervals only ever accept for a distance predicate, and only when
+// d >= 0: a negative distance must not pay for the (cold) whole-dataset
+// interval build it would never consult.
+TEST(DistanceSelectionTest, NegativeDistanceBuildsNoIntervals) {
+  const data::Dataset ds = MakeDataset(306, 80);
+  const WithinDistanceSelection selection(ds);
+  const Polygon query = data::GenerateBlobPolygon({40, 40}, 10, 40, 0.5, 11);
+  obs::Registry registry;
+  DistanceSelectionOptions options;
+  options.hw.use_intervals = true;
+  options.hw.metrics = &registry;
+  const DistanceSelectionResult negative = selection.Run(query, -1.0, options);
+  ASSERT_TRUE(negative.status.ok());
+  EXPECT_EQ(negative.interval_hits + negative.interval_undecided, 0);
+  EXPECT_EQ(registry.Snapshot().counter(obs::kIntervalObjects), 0);
+
+  // Control: the same pipeline builds (and counts) them once d >= 0.
+  const DistanceSelectionResult positive = selection.Run(query, 1.0, options);
+  ASSERT_TRUE(positive.status.ok());
+  EXPECT_GT(registry.Snapshot().counter(obs::kIntervalObjects), 0);
 }
 
 }  // namespace

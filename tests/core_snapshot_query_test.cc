@@ -164,6 +164,11 @@ TEST(DegradedHwConfigTest, LadderIsCumulativeAndDeterministic) {
   EXPECT_FALSE(l3.enable_hw);
   EXPECT_FALSE(l3.use_batching);
   EXPECT_EQ(l3.resolution, 4);
+
+  // Only the last rung consults the slot interval grids.
+  EXPECT_FALSE(l0.use_intervals);
+  EXPECT_FALSE(l2.use_intervals);
+  EXPECT_TRUE(l3.use_intervals);
 }
 
 // Snapshot isolation end-to-end: a query against an old pin is oblivious
@@ -202,6 +207,8 @@ TEST(SnapshotQueryTest, DeadlineTruncatesWithDeadlineExceeded) {
   const SnapshotQueryResult got = core::SnapshotSelection(
       store->snapshot(), Probe(100.0, 100.0, 90.0), options);
   EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(got.truncated);
+  EXPECT_TRUE(got.ids.empty());
 }
 
 }  // namespace

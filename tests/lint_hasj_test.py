@@ -358,6 +358,60 @@ class SimdIntrinsicsTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
 
 
+class FilterRefineSiteTest(unittest.TestCase):
+    def test_forked_loop_flagged(self):
+        code, out = run_lint({
+            "core/my_query.cc": (
+                "void Run(const HwConfig& hw) {\n"
+                "  const QueryDeadline deadline =\n"
+                "      QueryDeadline::Start(hw.deadline_ms, hw.cancel);\n"
+                "  RefinementExecutor executor(1);\n"
+                "  auto v = filter::DecidePair(a, b);\n"
+                "  HASJ_PARANOID_ONLY(paranoid::CheckIntervalAccept(p, q, hw));\n"
+                "  obs::PmuScope s(hw.pmu, obs::PmuStage::kIntervalDecide);\n"
+                "  RecordQueryObs(hw, \"selection\", c, n, h, t, b);\n"
+                "}\n"
+            ),
+        })
+        self.assertEqual(code, 1, out)
+        self.assertEqual(out.count("[filter-refine-site]"), 6, out)
+
+    def test_driver_and_definers_exempt(self):
+        code, out = run_lint({
+            "core/filter_refine.h": header("core/filter_refine.h", (
+                "inline void F() {\n"
+                "  RefinementExecutor executor(2);\n"
+                "  RecordQueryObs(hw, kind, c, n, h, t, b);\n"
+                "}\n"
+            )),
+            "core/query_obs.cc": (
+                "void RecordQueryObs(const HwConfig& config) {}\n"
+            ),
+        })
+        self.assertEqual(code, 0, out)
+
+    def test_outside_core_and_non_construction_clean(self):
+        code, out = run_lint({
+            "filter/interval_approx.cc": (
+                "IntervalVerdict V() { return DecidePair(a, b); }\n"
+            ),
+            "core/hook.h": header("core/hook.h", (
+                "// Mentions of QueryDeadline::Start( in comments are fine.\n"
+                "void Wire(RefinementExecutor* executor);\n"
+            )),
+        })
+        self.assertEqual(code, 0, out)
+
+    def test_allow_suppresses(self):
+        code, out = run_lint({
+            "core/probe.cc": (
+                "// lint:allow(filter-refine-site): standalone refinement probe\n"
+                "RefinementExecutor executor(1);\n"
+            ),
+        })
+        self.assertEqual(code, 0, out)
+
+
 class MetricNameTest(unittest.TestCase):
     def test_literal_name_flagged(self):
         code, out = run_lint({
