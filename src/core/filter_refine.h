@@ -1,6 +1,7 @@
 #ifndef HASJ_CORE_FILTER_REFINE_H_
 #define HASJ_CORE_FILTER_REFINE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -13,7 +14,6 @@
 #include "algo/polygon_intersect.h"
 #include "common/cancel.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "core/batch_tester.h"
 #include "core/hw_config.h"
 #include "core/hw_distance.h"
@@ -52,6 +52,10 @@ struct FilterRefineSpec {
   double d = 0.0;
   algo::SoftwareIntersectOptions sw_intersect;
   algo::DistanceOptions sw_distance;
+  // Measure StageCosts. A form whose result carries no costs clears it;
+  // the stages are then timed only when a metrics or query-log sink will
+  // record them.
+  bool timed = true;
 };
 
 // The spec of a static pipeline run: its options' hw with enable_hw =
@@ -250,7 +254,19 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
   constexpr bool kJoin = !std::is_same_v<Cand, int64_t>;
   const HwConfig& hw = spec.hw;
   FilterRefineOutcome<Cand> out;
-  Stopwatch watch;
+  // Stage clock: one read per stage boundary, none when untimed.
+  using Clock = std::chrono::steady_clock;
+  const bool timed =
+      spec.timed || hw.metrics != nullptr || hw.query_log != nullptr;
+  Clock::time_point mark = timed ? Clock::now() : Clock::time_point{};
+  const auto lap_ms = [&] {
+    if (!timed) return 0.0;
+    const Clock::time_point now = Clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - mark).count();
+    mark = now;
+    return ms;
+  };
   const obs::PmuSnapshot pmu_begin = obs::PmuSnapshotOf(hw.pmu);
   const QueryDeadline deadline =
       QueryDeadline::Start(hw.deadline_ms, hw.cancel);
@@ -261,12 +277,11 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
   stage_span.Start(hw.trace, "mbr", "stage");
   const std::vector<Cand> candidates = probe();
   out.counts.candidates = static_cast<int64_t>(candidates.size());
-  out.costs.mbr_ms = watch.ElapsedMillis();
+  out.costs.mbr_ms = lap_ms();
   stage_span.End();
 
   // Stage 2: intermediate filtering.
   stage_span.Start(hw.trace, "filter", "stage");
-  watch.Restart();
   FilterStages stages;
   stages.use_intervals = hw.use_intervals && (!spec.within || spec.d >= 0.0);
   stages.zero_object = stages.one_object = spec.within;
@@ -327,7 +342,7 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
       }
     }
   }
-  out.costs.filter_ms = watch.ElapsedMillis();
+  out.costs.filter_ms = lap_ms();
   stage_span.End();
 
   // Stage 3: geometry comparison. The tester is the refinement engine with
@@ -335,7 +350,6 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
   // shares the cached point locators. Each worker owns a tester; accepts
   // come back in candidate order at every thread count.
   stage_span.Start(hw.trace, "compare", "stage");
-  watch.Restart();
   if (out.status.ok()) {
     RefinementOutcome<Cand> refined;
     if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
@@ -397,7 +411,7 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
     out.hw_counters = refined.counters;
     out.status = refined.status;
   }
-  out.costs.compare_ms = watch.ElapsedMillis();
+  out.costs.compare_ms = lap_ms();
   stage_span.End();
   out.counts.truncated = !out.status.ok();
   out.counts.results = static_cast<int64_t>(out.results.size());

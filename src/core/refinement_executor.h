@@ -104,56 +104,56 @@ class RefinementExecutor {
     RefinementOutcome<Item> out;
     const int64_t n = static_cast<int64_t>(items.size());
     const bool guarded = deadline_ != nullptr && deadline_->active();
-    verdict_.assign(items.size(), 0);
-    if (!pool_.has_value() || n <= 1) {
-      HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs", n);
-      auto tester = make_tester();
-      out.attempted = n;
-      const int64_t step = guarded ? std::max<int64_t>(1, stride) : n;
-      for (int64_t off = 0; off < n; off += step) {
-        if (guarded && deadline_->Expired()) {
-          out.status = deadline_->ToStatus();
-          out.attempted = off;
-          break;
-        }
-        decide(tester, off, std::min(off + step, n), verdict_.data());
-      }
-      Gather(items, out.attempted, &out);
-      out.counters = tester.counters();
-      return out;
-    }
-
+    const bool serial = !pool_.has_value() || n <= 1;
     using Tester = decltype(make_tester());
     std::vector<Tester> testers;
-    testers.reserve(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) testers.push_back(make_tester());
-
-    named_.assign(static_cast<size_t>(threads_), 0);
+    for (int w = 0; w < (serial ? 1 : threads_); ++w) {
+      testers.push_back(make_tester());
+    }
+    verdict_.assign(items.size(), 0);
     tested_.assign(items.size(), 0);
-    const Status pool_status = pool_->ParallelFor(
-        n, Grain(n), [&](int64_t begin, int64_t end, int worker) {
-          MaybeInjectPoolFault();
-          if (guarded && deadline_->Expired()) return;  // skip, stays untested
-          NameWorkerTrack(named_, worker);
-          HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs",
-                           end - begin);
-          decide(testers[static_cast<size_t>(worker)], begin, end,
-                 verdict_.data());
-          std::fill(tested_.begin() + begin, tested_.begin() + end, 1);
-        });
-    RecordPoolWait();
+    Status pool_status;
+    if (serial) {
+      HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs", n);
+      const int64_t step = std::max<int64_t>(1, guarded ? stride : n);
+      for (int64_t off = 0; off < n && !(guarded && deadline_->Expired());
+           off += step) {
+        const int64_t end = std::min(off + step, n);
+        decide(testers[0], off, end, verdict_.data());
+        std::fill(tested_.begin() + off, tested_.begin() + end, 1);
+      }
+    } else {
+      named_.assign(static_cast<size_t>(threads_), 0);
+      pool_status = pool_->ParallelFor(
+          n, Grain(n), [&](int64_t begin, int64_t end, int worker) {
+            MaybeInjectPoolFault();
+            if (guarded && deadline_->Expired()) return;  // stays untested
+            NameWorkerTrack(named_, worker);
+            HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs",
+                             end - begin);
+            decide(testers[static_cast<size_t>(worker)], begin, end,
+                   verdict_.data());
+            std::fill(tested_.begin() + begin, tested_.begin() + end, 1);
+          });
+      RecordPoolWait();
+    }
 
     // The accepted items are the verdicts over the fully-tested candidate
     // prefix, in candidate order. With no truncation the prefix is
     // everything and the output is byte-identical to the serial loop at
     // every thread count; with truncation (deadline skip or a failed
     // worker task) it is a prefix of that output.
-    const auto untested = std::find(tested_.begin(), tested_.end(), 0);
-    const int64_t prefix = untested - tested_.begin();
-    Gather(items, prefix, &out);
+    out.attempted = std::find(tested_.begin(), tested_.end(), 0) -
+                    tested_.begin();
+    out.accepted.reserve(static_cast<size_t>(out.attempted));
+    for (int64_t i = 0; i < out.attempted; ++i) {
+      if (verdict_[static_cast<size_t>(i)]) {
+        out.accepted.push_back(items[static_cast<size_t>(i)]);
+      }
+    }
     if (!pool_status.ok()) {
       out.status = pool_status;
-    } else if (prefix < n) {
+    } else if (out.attempted < n) {
       out.status = deadline_ != nullptr
                        ? deadline_->ToStatus()
                        : Status::DeadlineExceeded("refinement truncated");
@@ -176,19 +176,6 @@ class RefinementExecutor {
     if (faults_ == nullptr) return;
     if (Status s = faults_->Check(FaultSite::kPoolTask); !s.ok()) {
       throw std::runtime_error(s.ToString());
-    }
-  }
-
-  // Accepted = items[0, prefix) whose verdict is keep, in input order.
-  template <typename Item>
-  void Gather(const std::vector<Item>& items, int64_t prefix,
-              RefinementOutcome<Item>* out) const {
-    out->attempted = prefix;
-    out->accepted.reserve(static_cast<size_t>(prefix));
-    for (int64_t i = 0; i < prefix; ++i) {
-      if (verdict_[static_cast<size_t>(i)]) {
-        out->accepted.push_back(items[static_cast<size_t>(i)]);
-      }
     }
   }
 

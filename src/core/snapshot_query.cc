@@ -16,7 +16,8 @@ using data::VersionedDataset;
 using Pair = std::pair<int64_t, int64_t>;
 
 // The driver spec of a snapshot query: the ladder's config, serial (the
-// server parallelizes across queries, not inside one).
+// server parallelizes across queries, not inside one), and untimed unless
+// a sink records the stage costs (SnapshotQueryResult carries none).
 FilterRefineSpec SnapshotSpec(const char* kind,
                               const SnapshotQueryOptions& options,
                               bool within = false, double d = 0.0) {
@@ -25,7 +26,8 @@ FilterRefineSpec SnapshotSpec(const char* kind,
           .within = within,
           .d = d,
           .sw_intersect = options.sw_intersect,
-          .sw_distance = options.sw_distance};
+          .sw_distance = options.sw_distance,
+          .timed = false};
 }
 
 // Attaches the slot grids the ladder consults (the query object is
@@ -42,6 +44,43 @@ Status UseGrids(const SnapshotQueryOptions& options, const geom::Polygon* query,
     stages->intervals_b.Use(options.intervals_b);
   }
   return Status::Ok();
+}
+
+// An oracle's exact verdict: the software predicate behind the sound MBR
+// pre-check (disjoint boxes, or boxes farther apart than d, rule a pair
+// out), which keeps the oracles usable at chaos-suite query counts.
+bool OracleMatch(const geom::Polygon& p, const geom::Polygon& q,
+                 std::optional<double> d) {
+  if (!d.has_value()) {
+    return p.Bounds().Intersects(q.Bounds()) && algo::PolygonsIntersect(p, q);
+  }
+  return geom::MinDistance(p.Bounds(), q.Bounds()) <= *d &&
+         algo::WithinDistance(p, q, *d);
+}
+
+std::vector<int64_t> OracleScan(const VersionedDataset::Snapshot& snap,
+                                const geom::Polygon& query,
+                                std::optional<double> d) {
+  std::vector<int64_t> out;
+  for (const int64_t id : snap.LiveIds()) {
+    if (OracleMatch(snap.polygon(id), query, d)) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<Pair> OracleScan(const VersionedDataset::Snapshot& a,
+                             const VersionedDataset::Snapshot& b,
+                             std::optional<double> d) {
+  std::vector<Pair> out;
+  const std::vector<int64_t> ids_b = b.LiveIds();
+  for (const int64_t ida : a.LiveIds()) {
+    for (const int64_t idb : ids_b) {
+      if (OracleMatch(a.polygon(ida), b.polygon(idb), d)) {
+        out.emplace_back(ida, idb);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -103,47 +142,6 @@ SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& a,
         return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
       }));
 }
-
-namespace {
-
-// An oracle's exact verdict: the software predicate behind the sound MBR
-// pre-check (disjoint boxes, or boxes farther apart than d, rule a pair
-// out), which keeps the oracles usable at chaos-suite query counts.
-bool OracleMatch(const geom::Polygon& p, const geom::Polygon& q,
-                 std::optional<double> d) {
-  if (!d.has_value()) {
-    return p.Bounds().Intersects(q.Bounds()) && algo::PolygonsIntersect(p, q);
-  }
-  return geom::MinDistance(p.Bounds(), q.Bounds()) <= *d &&
-         algo::WithinDistance(p, q, *d);
-}
-
-std::vector<int64_t> OracleScan(const VersionedDataset::Snapshot& snap,
-                                const geom::Polygon& query,
-                                std::optional<double> d) {
-  std::vector<int64_t> out;
-  for (const int64_t id : snap.LiveIds()) {
-    if (OracleMatch(snap.polygon(id), query, d)) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<Pair> OracleScan(const VersionedDataset::Snapshot& a,
-                             const VersionedDataset::Snapshot& b,
-                             std::optional<double> d) {
-  std::vector<Pair> out;
-  const std::vector<int64_t> ids_b = b.LiveIds();
-  for (const int64_t ida : a.LiveIds()) {
-    for (const int64_t idb : ids_b) {
-      if (OracleMatch(a.polygon(ida), b.polygon(idb), d)) {
-        out.emplace_back(ida, idb);
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<int64_t> OracleSelection(const VersionedDataset::Snapshot& snap,
                                      const geom::Polygon& query) {
