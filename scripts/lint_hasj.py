@@ -25,8 +25,8 @@ Repo-specific correctness rules that generic tooling cannot express:
                    filter-and-refine loop — QueryDeadline::Start(,
                    RefinementExecutor construction, filter::DecidePair(,
                    paranoid::CheckInterval*, PmuStage::kIntervalDecide,
-                   RecordQueryObs( — appears only in the one driver
-                   (core/filter_refine.h). A query form that spells any of
+                   RecordQueryObs( — appears only in
+                   core/filter_refine.h. A query form that spells any of
                    them has forked the loop again.
   metric-name      No string-literal metric names at Registry call sites:
                    every GetCounter/GetGauge/GetHistogram argument in src/
@@ -207,9 +207,8 @@ def check_simd_intrinsics(path, lines, src, root):
 # are the per-query machinery that must exist there once. Their defining
 # headers (refinement_executor.h, query_obs.*, paranoid.*) live in core/
 # too and are exempt.
-FILTER_REFINE_DRIVER = os.path.join("core", "filter_refine.h")
 FILTER_REFINE_EXEMPT = {
-    FILTER_REFINE_DRIVER,
+    os.path.join("core", "filter_refine.h"),
     os.path.join("core", "refinement_executor.h"),
     os.path.join("core", "query_obs.h"),
     os.path.join("core", "query_obs.cc"),

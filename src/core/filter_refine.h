@@ -79,9 +79,9 @@ FilterRefineSpec PipelineSpec(const char* kind, const Options& options,
   return spec;
 }
 
-// One driver run. `results` lists filter accepts, then refined accepts,
-// each in candidate order; on a non-OK status it is an exact prefix of the
-// complete list and counts.truncated is set (DESIGN.md §11).
+// One FilterRefine run. `results` lists filter accepts, then refined
+// accepts, each in candidate order; on a non-OK status it is an exact
+// prefix of the complete list and counts.truncated is set (DESIGN.md §11).
 template <typename Cand>
 struct FilterRefineOutcome {
   std::vector<Cand> results;
@@ -144,9 +144,10 @@ class RasterSide {
 // go to geometry comparison. A form's setup hook fills this in during the
 // filter stage, so cache builds are timed there.
 struct FilterStages {
-  // Set by the driver before setup: the interval filter will be consulted
-  // (hw.use_intervals, and for distance predicates d >= 0 — intervals only
-  // ever accept there). Forms acquire approximations only when it is set.
+  // Set by FilterRefine before setup: the interval filter will be
+  // consulted (hw.use_intervals, and for distance predicates d >= 0 —
+  // intervals only ever accept there). Forms acquire approximations only
+  // when it is set.
   bool use_intervals = false;
   std::optional<filter::InteriorFilter> interior;
   bool zero_object = false;  // default on for distance predicates
@@ -420,9 +421,9 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
   return out;
 }
 
-// A form's public result struct from a driver outcome. Each struct carries
-// the subset of counters its filters can produce; fields it lacks are
-// skipped at compile time.
+// A form's public result struct from a FilterRefine outcome. Each struct
+// carries the subset of counters its filters can produce; fields it lacks
+// are skipped at compile time.
 template <typename Result, typename Cand>
 Result Publish(FilterRefineOutcome<Cand>&& out) {
   Result r;

@@ -32,14 +32,15 @@ inline filter::IntervalApproxConfig IntervalConfigFrom(const HwConfig& hw,
 // The static selections' interval stage (DESIGN.md §12): the dataset
 // approximation, built once per (grid, budget, epoch) and shared across
 // queries, against the query object approximated on the same grid. No-op
-// unless the driver asked for intervals.
+// unless FilterRefine asked for intervals.
 inline Status AcquireSelectionIntervals(
     const filter::IntervalApproxCache& cache,
     const data::DatasetIndex::Pinned& pin, const geom::Polygon& query,
     const HwConfig& hw, int num_threads, FilterStages* stages) {
   if (!stages->use_intervals) return Status::Ok();
-  auto acquired = cache.Acquire(pin.data.polygons(), pin.Bounds(),
-                                pin.epoch(), IntervalConfigFrom(hw, num_threads));
+  auto acquired =
+      cache.Acquire(pin.data.polygons(), pin.Bounds(), pin.epoch(),
+                    IntervalConfigFrom(hw, num_threads));
   if (!acquired.ok()) return acquired.status();
   stages->intervals_b.Fix((*acquired)->ApproximateObject(query));
   stages->intervals_a.Use(std::move(acquired).value());

@@ -15,7 +15,7 @@ namespace {
 using data::VersionedDataset;
 using Pair = std::pair<int64_t, int64_t>;
 
-// The driver spec of a snapshot query: the ladder's config, serial (the
+// The FilterRefine spec of a snapshot query: the ladder's config, serial (the
 // server parallelizes across queries, not inside one), and untimed unless
 // a sink records the stage costs (SnapshotQueryResult carries none).
 FilterRefineSpec SnapshotSpec(const char* kind,
@@ -40,7 +40,7 @@ Status UseGrids(const SnapshotQueryOptions& options, const geom::Polygon* query,
   stages->intervals_a.Use(options.intervals);
   if (query != nullptr) {
     stages->intervals_b.Fix(options.intervals->Approximate(*query));
-  } else if (options.intervals_b != nullptr) {
+  } else {
     stages->intervals_b.Use(options.intervals_b);
   }
   return Status::Ok();

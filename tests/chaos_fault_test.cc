@@ -370,10 +370,9 @@ TEST(ChaosFaultTest, TinyDeadlineTruncatesToAPrefix) {
 // The snapshot forms follow the same truncation contract as the static
 // pipelines: on expiry they stop deciding, skip refinement, and return a
 // flagged prefix of the complete result.
-SnapshotQueryResult RunSnapshotForm(int form,
-                                    const data::VersionedDataset::Snapshot& snap,
-                                    const geom::Polygon& query,
-                                    const SnapshotQueryOptions& options) {
+SnapshotQueryResult RunSnapshotForm(
+    int form, const data::VersionedDataset::Snapshot& snap,
+    const geom::Polygon& query, const SnapshotQueryOptions& options) {
   switch (form) {
     case 0:
       return SnapshotSelection(snap, query, options);

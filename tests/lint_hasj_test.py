@@ -376,7 +376,7 @@ class FilterRefineSiteTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertEqual(out.count("[filter-refine-site]"), 6, out)
 
-    def test_driver_and_definers_exempt(self):
+    def test_filter_refine_and_definers_exempt(self):
         code, out = run_lint({
             "core/filter_refine.h": header("core/filter_refine.h", (
                 "inline void F() {\n"

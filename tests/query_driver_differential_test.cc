@@ -9,9 +9,10 @@
 // and, for the snapshot forms, ladder levels L0-L3. Each run is reduced to
 // one golden line: every integer counter in the clear plus the length and
 // an FNV-1a digest of the *ordered* result list. The goldens in
-// query_driver_goldens.inc were recorded from the per-form loops the
-// driver replaced; any change to candidate order, filter order, tallies or
-// tester dispatch shows up as a mismatch naming the case.
+// query_driver_goldens.inc were recorded from the per-form loops that
+// FilterRefine (core/filter_refine.h) replaced; any change to candidate
+// order, filter order, tallies or tester dispatch shows up as a mismatch
+// naming the case.
 //
 // Regenerate (only for an intended, explained behaviour change) by running
 // the binary with HASJ_WRITE_QUERY_DRIVER_GOLDENS set to the output path,
@@ -66,7 +67,7 @@ const std::map<std::string, std::string>& Goldens() {
 
 data::Dataset MakeDataset(uint64_t seed, int count, double snake_fraction) {
   data::GeneratorProfile p;
-  p.name = "driver";
+  p.name = "forms";
   p.count = count;
   p.mean_vertices = 18;
   p.max_vertices = 80;
@@ -397,7 +398,8 @@ TEST_F(QueryDriverDifferentialTest, StaticFormsMatchGoldens) {
           options.use_zero_object_filter = object_filters;
           options.use_one_object_filter = object_filters;
           options.num_threads = exec.threads;
-          const DistanceJoinResult r = distance_join.Run(kJoinDistance, options);
+          const DistanceJoinResult r =
+              distance_join.Run(kJoinDistance, options);
           Line line;
           line.AddCounts(r.counts);
           line.Add("zero_hits", r.zero_object_hits);
