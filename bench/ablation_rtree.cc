@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
+#include "common/macros.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "index/rtree.h"
@@ -59,13 +60,13 @@ int Main(int argc, char** argv) {
   {
     Stopwatch watch;
     index::RTree tree(16, index::SplitPolicy::kQuadratic);
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
+    for (const auto& e : entries) HASJ_CHECK_OK(tree.Insert(e.box, e.id));
     measure("insert + quadratic", tree, watch.ElapsedMillis());
   }
   {
     Stopwatch watch;
     index::RTree tree(16, index::SplitPolicy::kRStar);
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
+    for (const auto& e : entries) HASJ_CHECK_OK(tree.Insert(e.box, e.id));
     measure("insert + R* split", tree, watch.ElapsedMillis());
   }
   {

@@ -5,7 +5,8 @@
 # the concurrent observability tests (sharded counters/histograms,
 # multi-thread trace tracks), the chaos/fault tests (concurrent fault
 # ordinal claims, multi-thread degradation + deadlines — DESIGN.md §11),
-# and the snapshot-isolation layer (DESIGN.md §16): the COW dynamic R-tree,
+# and the snapshot-isolation layer (DESIGN.md §16): the persistent R-tree
+# (copies sharing nodes across threads), its DynamicRTree version publisher,
 # the versioned dataset store, the QueryServer admission queue, and the
 # writers-vs-pinned-readers chaos suite. Any data race in the per-worker
 # testers, the chunk cursor, the signature caches, the metric shards, the
@@ -26,13 +27,13 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target common_thread_pool_test core_parallel_refinement_test \
   obs_metrics_test obs_trace_test common_fault_test chaos_fault_test \
-  index_dynamic_rtree_test data_versioned_dataset_test core_server_test \
-  core_reload_consistency_test chaos_snapshot_test
+  index_rtree_test index_dynamic_rtree_test data_versioned_dataset_test \
+  core_server_test core_reload_consistency_test chaos_snapshot_test
 
 # Halt on the first report and fail the process so CI sees it.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPoolTest|ParallelRefinementTest|CounterTest|HistogramTest|HistogramBucketsTest|GaugeTest|RegistryTest|MetricsSnapshotTest|TraceSessionTest|FaultInjectorTest|CircuitBreakerTest|ChaosFaultTest|DynamicRTreeTest|VersionedDatasetTest|QueryServerTest|ReloadConsistencyTest|ChaosSnapshotTest'
+  -R 'ThreadPoolTest|ParallelRefinementTest|CounterTest|HistogramTest|HistogramBucketsTest|GaugeTest|RegistryTest|MetricsSnapshotTest|TraceSessionTest|FaultInjectorTest|CircuitBreakerTest|ChaosFaultTest|RTreeTest|DynamicRTreeTest|VersionedDatasetTest|QueryServerTest|ReloadConsistencyTest|ChaosSnapshotTest'
 
 echo "TSan check passed."

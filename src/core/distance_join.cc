@@ -21,7 +21,7 @@ DistanceJoinResult WithinDistanceJoin::Run(
       FilterRefine<std::pair<int64_t, int64_t>>(
           PipelineSpec("distance_join", options, true, d),
           // MBR distance lower-bounds object distance.
-          [&] { return index::JoinWithinDistance(*a.rtree, *b.rtree, d); },
+          [&] { return index::JoinWithinDistance(a.rtree, b.rtree, d); },
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;

@@ -17,7 +17,7 @@ DistanceSelectionResult WithinDistanceSelection::Run(
   return Publish<DistanceSelectionResult>(
       FilterRefine<int64_t>(
           PipelineSpec("distance_selection", options, true, d),
-          [&] { return pin.rtree->QueryWithinDistance(query.Bounds(), d); },
+          [&] { return pin.rtree.QueryWithinDistance(query.Bounds(), d); },
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;

@@ -18,7 +18,7 @@ JoinResult IntersectionJoin::Run(const JoinOptions& options) const {
   return Publish<JoinResult>(
       FilterRefine<std::pair<int64_t, int64_t>>(
           PipelineSpec("join", options),
-          [&] { return index::JoinIntersects(*a.rtree, *b.rtree); },
+          [&] { return index::JoinIntersects(a.rtree, b.rtree); },
           [&](FilterStages& stages) {
             if (Status s = AcquireJoinIntervals(interval_cache_a_, a,
                                                 interval_cache_b_, b,

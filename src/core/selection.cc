@@ -18,7 +18,7 @@ SelectionResult IntersectionSelection::Run(
   return Publish<SelectionResult>(
       FilterRefine<int64_t>(
           PipelineSpec("selection", options),
-          [&] { return pin.rtree->QueryIntersects(query.Bounds()); },
+          [&] { return pin.rtree.QueryIntersects(query.Bounds()); },
           [&](FilterStages& stages) {
             if (options.interior_tiling_level >= 0) {
               stages.interior.emplace(query, options.interior_tiling_level);

@@ -126,11 +126,11 @@ DatasetStats Dataset::Stats() const {
   return s;
 }
 
-index::RTree Dataset::BuildRTree(int max_entries) const {
+index::RTree DatasetSnapshot::BuildRTree(int max_entries) const {
   std::vector<index::RTree::Entry> entries;
-  entries.reserve(content_->size());
-  for (size_t i = 0; i < content_->size(); ++i) {
-    entries.push_back({(*content_)[i].Bounds(), static_cast<int64_t>(i)});
+  entries.reserve(size());
+  for (size_t i = 0; i < size(); ++i) {
+    entries.push_back({mbr(i), static_cast<int64_t>(i)});
   }
   return index::RTree::BulkLoad(std::move(entries), max_entries);
 }

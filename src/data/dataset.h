@@ -45,6 +45,9 @@ class DatasetSnapshot {
   const geom::Box& Bounds() const { return extent_; }
   uint64_t epoch() const { return epoch_; }
 
+  // STR bulk-loaded R-tree over the MBRs (ids = positions).
+  index::RTree BuildRTree(int max_entries = 16) const;
+
  private:
   friend class Dataset;
   std::shared_ptr<const std::vector<geom::Polygon>> polygons_;
@@ -109,8 +112,10 @@ class Dataset {
 
   DatasetStats Stats() const;
 
-  // STR bulk-loaded R-tree over the MBRs (ids = positions).
-  index::RTree BuildRTree(int max_entries = 16) const;
+  // STR bulk-loaded R-tree over the current content's MBRs.
+  index::RTree BuildRTree(int max_entries = 16) const HASJ_EXCLUDES(mu_) {
+    return snapshot().BuildRTree(max_entries);
+  }
 
  private:
   // Clones content_ if any snapshot (or dataset copy) still shares it.

@@ -1,39 +1,21 @@
 #include "data/dataset_index.h"
 
-#include <utility>
-#include <vector>
-
 namespace hasj::data {
-
-namespace {
-
-std::shared_ptr<const index::RTree> BuildTree(const DatasetSnapshot& snap,
-                                              int max_entries) {
-  std::vector<index::RTree::Entry> entries;
-  entries.reserve(snap.size());
-  for (size_t i = 0; i < snap.size(); ++i) {
-    entries.push_back({snap.mbr(i), static_cast<int64_t>(i)});
-  }
-  return std::make_shared<const index::RTree>(
-      index::RTree::BulkLoad(std::move(entries), max_entries));
-}
-
-}  // namespace
 
 DatasetIndex::DatasetIndex(const Dataset& dataset, int max_entries)
     : dataset_(dataset), max_entries_(max_entries) {
   const DatasetSnapshot snap = dataset_.snapshot();
   MutexLock lock(&mu_);
   cached_epoch_ = snap.epoch();
-  cached_tree_ = BuildTree(snap, max_entries_);
+  cached_tree_ = snap.BuildRTree(max_entries_);
 }
 
 DatasetIndex::Pinned DatasetIndex::Acquire() const {
   Pinned pin;
   pin.data = dataset_.snapshot();
   MutexLock lock(&mu_);
-  if (cached_tree_ == nullptr || cached_epoch_ != pin.data.epoch()) {
-    cached_tree_ = BuildTree(pin.data, max_entries_);
+  if (cached_epoch_ != pin.data.epoch()) {
+    cached_tree_ = pin.data.BuildRTree(max_entries_);
     cached_epoch_ = pin.data.epoch();
   }
   pin.rtree = cached_tree_;

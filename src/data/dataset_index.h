@@ -2,7 +2,6 @@
 #define HASJ_DATA_DATASET_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -22,7 +21,7 @@ class DatasetIndex {
   // A dataset version and its index. Copyable; keeps the content alive.
   struct Pinned {
     DatasetSnapshot data;
-    std::shared_ptr<const index::RTree> rtree;
+    index::RTree rtree;  // shares its nodes with the cached tree
 
     size_t size() const { return data.size(); }
     uint64_t epoch() const { return data.epoch(); }
@@ -48,8 +47,7 @@ class DatasetIndex {
   const int max_entries_;
   mutable Mutex mu_;
   mutable uint64_t cached_epoch_ HASJ_GUARDED_BY(mu_) = 0;
-  mutable std::shared_ptr<const index::RTree> cached_tree_
-      HASJ_GUARDED_BY(mu_);
+  mutable index::RTree cached_tree_ HASJ_GUARDED_BY(mu_);
 };
 
 }  // namespace hasj::data

@@ -12,6 +12,11 @@ VersionedDataset::VersionedDataset(std::string name, size_t capacity,
     : name_(std::move(name)), slots_(capacity), index_(max_entries) {}
 
 Status VersionedDataset::SeedFrom(const Dataset& dataset) {
+  // Checked before claiming, so an oversized seed leaves the store empty
+  // and usable.
+  if (dataset.size() > capacity()) {
+    return Status::ResourceExhausted("seed dataset exceeds store capacity");
+  }
   int64_t expected = 0;
   if (!next_.compare_exchange_strong(expected,
                                      static_cast<int64_t>(dataset.size()),
@@ -19,10 +24,7 @@ Status VersionedDataset::SeedFrom(const Dataset& dataset) {
                                      std::memory_order_acquire)) {
     return Status::InvalidArgument("SeedFrom requires an empty store");
   }
-  if (dataset.size() > capacity()) {
-    return Status::ResourceExhausted("seed dataset exceeds store capacity");
-  }
-  std::vector<index::DynamicRTree::Entry> entries;
+  std::vector<index::RTree::Entry> entries;
   entries.reserve(dataset.size());
   for (size_t i = 0; i < dataset.size(); ++i) {
     slots_[i] = dataset.polygon(i);
@@ -75,8 +77,8 @@ const geom::Box& VersionedDataset::Snapshot::mbr(int64_t id) const {
 std::vector<int64_t> VersionedDataset::Snapshot::LiveIds() const {
   std::vector<int64_t> ids;
   ids.reserve(live());
-  index_.Visit([](const geom::Box&) { return true; },
-               [&](const geom::Box&, int64_t id) { ids.push_back(id); });
+  index().Visit([](const geom::Box&) { return true; },
+                [&](const geom::Box&, int64_t id) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   return ids;
 }

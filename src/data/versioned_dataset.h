@@ -41,10 +41,10 @@ class VersionedDataset {
     Snapshot() = default;
 
     // Objects visible in this version.
-    size_t live() const { return index_.size(); }
+    size_t live() const { return index().size(); }
     // Content version at pin time (index::DynamicRTree::version).
     uint64_t epoch() const { return index_.version(); }
-    geom::Box Bounds() const { return index_.Bounds(); }
+    geom::Box Bounds() const { return index().Bounds(); }
 
     // `id` must be live in this snapshot (returned by one of its queries
     // or LiveIds).
@@ -52,16 +52,17 @@ class VersionedDataset {
     const geom::Box& mbr(int64_t id) const;
 
     std::vector<int64_t> QueryIntersects(const geom::Box& window) const {
-      return index_.QueryIntersects(window);
+      return index().QueryIntersects(window);
     }
     std::vector<int64_t> QueryWithinDistance(const geom::Box& query,
                                              double distance) const {
-      return index_.QueryWithinDistance(query, distance);
+      return index().QueryWithinDistance(query, distance);
     }
     // Ids live in this version, ascending (for oracle scans).
     std::vector<int64_t> LiveIds() const;
 
-    const index::DynamicRTree::Snapshot& index() const { return index_; }
+    // The pinned version's R-tree over slot MBRs (ids = slots).
+    const index::RTree& index() const { return index_.tree(); }
 
    private:
     friend class VersionedDataset;

@@ -1,7 +1,5 @@
 #include "index/dynamic_rtree.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -9,11 +7,10 @@
 
 namespace hasj::index {
 
-// A published version: root plus the entry count and version stamp frozen
-// at publish time. VersionStates are immutable after Publish.
+// A published version: the tree and the version stamp frozen at publish
+// time. VersionStates are immutable after Publish.
 struct DynamicRTree::VersionState {
-  std::shared_ptr<const Node> root;  // nullptr when the version is empty
-  size_t size = 0;
+  RTree tree;
   uint64_t version = 0;
 };
 
@@ -29,242 +26,27 @@ struct DynamicRTree::Snapshot::Pin {
   ~Pin() { tree->Unpin(state->version); }
 };
 
-namespace {
-
-using Node = DynamicRTree::Node;
-using Entry = DynamicRTree::Entry;
-
-geom::Box RecomputeBox(const Node& node) {
-  geom::Box box = geom::Box::Empty();
-  for (const geom::Box& b : node.boxes) box.Extend(b);
-  return box;
-}
-
-double EnlargementNeeded(const geom::Box& node, const geom::Box& add) {
-  geom::Box merged = node;
-  merged.Extend(add);
-  return merged.Area() - node.Area();
-}
-
-// Guttman's quadratic PickSeeds: the pair wasting the most area together.
-std::pair<size_t, size_t> PickSeeds(const std::vector<geom::Box>& boxes) {
-  size_t s0 = 0, s1 = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    for (size_t j = i + 1; j < boxes.size(); ++j) {
-      geom::Box merged = boxes[i];
-      merged.Extend(boxes[j]);
-      const double waste = merged.Area() - boxes[i].Area() - boxes[j].Area();
-      if (waste > worst) {
-        worst = waste;
-        s0 = i;
-        s1 = j;
-      }
-    }
-  }
-  return {s0, s1};
-}
-
-// Quadratic split over a freshly built (not yet published) node. `node`
-// keeps group 1, the returned sibling takes group 2. Same algorithm as the
-// static tree's QuadraticSplit; operates on shared_ptr children because
-// untouched subtrees stay shared with older versions.
-std::shared_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
-  const size_t n = node->boxes.size();
-  auto [seed0, seed1] = PickSeeds(node->boxes);
-
-  std::vector<geom::Box> boxes = std::move(node->boxes);
-  std::vector<int64_t> ids = std::move(node->ids);
-  std::vector<std::shared_ptr<const Node>> children =
-      std::move(node->children);
-  node->boxes.clear();
-  node->ids.clear();
-  node->children.clear();
-
-  auto sibling = std::make_shared<Node>();
-  sibling->leaf = node->leaf;
-
-  std::vector<bool> assigned(n, false);
-  auto put = [&](Node* dst, size_t i) {
-    dst->boxes.push_back(boxes[i]);
-    if (dst->leaf) {
-      dst->ids.push_back(ids[i]);
-    } else {
-      dst->children.push_back(std::move(children[i]));
-    }
-    assigned[i] = true;
-  };
-  put(node, seed0);
-  put(sibling.get(), seed1);
-  geom::Box cover0 = boxes[seed0];
-  geom::Box cover1 = boxes[seed1];
-
-  size_t remaining = n - 2;
-  while (remaining > 0) {
-    // If one group must take everything left to reach the minimum fill,
-    // assign the rest to it.
-    Node* forced = nullptr;
-    if (node->Count() + remaining == static_cast<size_t>(min_entries)) {
-      forced = node;
-    } else if (sibling->Count() + remaining ==
-               static_cast<size_t>(min_entries)) {
-      forced = sibling.get();
-    }
-    if (forced != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!assigned[i]) {
-          put(forced, i);
-          (forced == node ? cover0 : cover1).Extend(boxes[i]);
-        }
-      }
-      remaining = 0;
-      break;
-    }
-
-    // PickNext: the entry with the largest preference for one group.
-    size_t best = 0;
-    double best_diff = -1.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (assigned[i]) continue;
-      const double d0 = EnlargementNeeded(cover0, boxes[i]);
-      const double d1 = EnlargementNeeded(cover1, boxes[i]);
-      const double diff = std::fabs(d0 - d1);
-      if (diff > best_diff) {
-        best_diff = diff;
-        best = i;
-      }
-    }
-    const double d0 = EnlargementNeeded(cover0, boxes[best]);
-    const double d1 = EnlargementNeeded(cover1, boxes[best]);
-    Node* dst;
-    if (d0 < d1) {
-      dst = node;
-    } else if (d1 < d0) {
-      dst = sibling.get();
-    } else {
-      dst = cover0.Area() <= cover1.Area() ? node : sibling.get();
-    }
-    put(dst, best);
-    (dst == node ? cover0 : cover1).Extend(boxes[best]);
-    --remaining;
-  }
-
-  node->box = RecomputeBox(*node);
-  sibling->box = RecomputeBox(*sibling);
-  return sibling;
-}
-
-// Copy-on-write insert: returns a clone of `node` with (box, id) added.
-// Only the descent path is cloned; all other subtrees are shared with the
-// source version. On overflow the clone is split and *split receives the
-// sibling.
-std::shared_ptr<Node> InsertCow(const Node& node, const geom::Box& box,
-                                int64_t id, int max_entries, int min_entries,
-                                std::shared_ptr<Node>* split) {
-  auto clone = std::make_shared<Node>(node);
-  if (clone->leaf) {
-    clone->boxes.push_back(box);
-    clone->ids.push_back(id);
-    clone->box.Extend(box);
-    if (clone->Count() > static_cast<size_t>(max_entries)) {
-      *split = QuadraticSplit(clone.get(), min_entries);
-    }
-    return clone;
-  }
-
-  // ChooseLeaf: child needing least enlargement, ties by smallest area.
-  size_t best = 0;
-  double best_enl = std::numeric_limits<double>::infinity();
-  double best_area = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < clone->boxes.size(); ++i) {
-    const double enl = EnlargementNeeded(clone->boxes[i], box);
-    const double area = clone->boxes[i].Area();
-    if (enl < best_enl || (enl == best_enl && area < best_area)) {
-      best_enl = enl;
-      best_area = area;
-      best = i;
-    }
-  }
-
-  std::shared_ptr<Node> child_split;
-  clone->children[best] = InsertCow(*clone->children[best], box, id,
-                                    max_entries, min_entries, &child_split);
-  clone->boxes[best] = clone->children[best]->box;
-  clone->box.Extend(box);
-  if (child_split != nullptr) {
-    clone->boxes.push_back(child_split->box);
-    clone->children.push_back(std::move(child_split));
-    if (clone->Count() > static_cast<size_t>(max_entries)) {
-      *split = QuadraticSplit(clone.get(), min_entries);
-    }
-  }
-  return clone;
-}
-
-// Copy-on-write delete of one exact (box, id) entry. Returns the cloned
-// subtree with the entry removed, or nullptr when the subtree emptied out
-// (the caller drops it). *found stays false when no entry matched, in
-// which case nothing was cloned along this branch.
-std::shared_ptr<const Node> DeleteCow(const Node& node, const geom::Box& box,
-                                      int64_t id, bool* found) {
-  if (node.leaf) {
-    for (size_t i = 0; i < node.ids.size(); ++i) {
-      if (node.ids[i] == id && node.boxes[i] == box) {
-        *found = true;
-        if (node.ids.size() == 1) return nullptr;
-        auto clone = std::make_shared<Node>(node);
-        clone->boxes.erase(clone->boxes.begin() +
-                           static_cast<ptrdiff_t>(i));
-        clone->ids.erase(clone->ids.begin() + static_cast<ptrdiff_t>(i));
-        clone->box = RecomputeBox(*clone);
-        return clone;
-      }
-    }
-    return nullptr;
-  }
-
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    // Every entry box is contained in its ancestors' boxes (Insert extends
-    // the whole descent path), so only containing children can hold it.
-    if (!node.boxes[i].Contains(box)) continue;
-    bool child_found = false;
-    std::shared_ptr<const Node> child =
-        DeleteCow(*node.children[i], box, id, &child_found);
-    if (!child_found) continue;
-    *found = true;
-    if (child == nullptr && node.children.size() == 1) return nullptr;
-    auto clone = std::make_shared<Node>(node);
-    if (child == nullptr) {
-      clone->boxes.erase(clone->boxes.begin() + static_cast<ptrdiff_t>(i));
-      clone->children.erase(clone->children.begin() +
-                            static_cast<ptrdiff_t>(i));
-    } else {
-      clone->boxes[i] = child->box;
-      clone->children[i] = std::move(child);
-    }
-    clone->box = RecomputeBox(*clone);
-    return clone;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-DynamicRTree::DynamicRTree(int max_entries)
-    : max_entries_(max_entries),
-      min_entries_(std::max(2, max_entries * 2 / 5)) {
-  HASJ_CHECK(max_entries >= 4);
-  auto empty = std::make_shared<VersionState>();
+DynamicRTree::DynamicRTree(int max_entries) : max_entries_(max_entries) {
+  auto empty =
+      std::make_shared<VersionState>(VersionState{RTree(max_entries), 0});
   MutexLock lock(&state_mu_);
   current_ = std::move(empty);
 }
 
 DynamicRTree::~DynamicRTree() = default;
 
-void DynamicRTree::Publish(std::shared_ptr<const VersionState> next) {
+std::shared_ptr<const DynamicRTree::VersionState> DynamicRTree::Current()
+    const {
+  MutexLock lock(&state_mu_);
+  return current_;
+}
+
+void DynamicRTree::Publish(RTree tree) {
   std::vector<std::shared_ptr<const VersionState>> reclaim;
   {
     MutexLock lock(&state_mu_);
+    auto next = std::make_shared<const VersionState>(
+        VersionState{std::move(tree), current_->version + 1});
     limbo_.push_back(std::move(current_));
     ++retired_total_;
     current_ = std::move(next);
@@ -306,172 +88,32 @@ void DynamicRTree::CollectLocked(
 
 Status DynamicRTree::BulkLoad(std::vector<Entry> entries) {
   MutexLock writer(&writer_mu_);
-  {
-    MutexLock lock(&state_mu_);
-    if (current_->size != 0) {
-      return Status::InvalidArgument("BulkLoad requires an empty tree");
-    }
+  if (Current()->tree.size() != 0) {
+    return Status::InvalidArgument("BulkLoad requires an empty tree");
   }
   for (const Entry& entry : entries) {
     if (entry.box.IsEmpty()) {
       return Status::InvalidArgument("BulkLoad entry with empty box");
     }
   }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = entries.size();
-  {
-    MutexLock lock(&state_mu_);
-    next->version = current_->version + 1;
-  }
-  if (entries.empty()) {
-    Publish(std::move(next));
-    return Status::Ok();
-  }
-
-  // Sort-Tile-Recursive, as RTree::BulkLoad: sort by center x, cut into
-  // ~sqrt(n/M) vertical slices, sort each by center y, pack runs of M.
-  const auto center_x_less = [](const Entry& a, const Entry& b) {
-    return a.box.Center().x < b.box.Center().x;
-  };
-  const auto center_y_less = [](const Entry& a, const Entry& b) {
-    return a.box.Center().y < b.box.Center().y;
-  };
-
-  std::sort(entries.begin(), entries.end(), center_x_less);
-  const size_t n = entries.size();
-  const size_t m = static_cast<size_t>(max_entries_);
-  const size_t num_leaves = (n + m - 1) / m;
-  const size_t num_slices = static_cast<size_t>(
-      std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  const size_t slice_size = ((num_leaves + num_slices - 1) / num_slices) * m;
-
-  std::vector<std::shared_ptr<Node>> level;
-  for (size_t s = 0; s < n; s += slice_size) {
-    const size_t end = std::min(n, s + slice_size);
-    std::sort(entries.begin() + static_cast<ptrdiff_t>(s),
-              entries.begin() + static_cast<ptrdiff_t>(end), center_y_less);
-    for (size_t i = s; i < end; i += m) {
-      auto leaf = std::make_shared<Node>();
-      leaf->leaf = true;
-      for (size_t j = i; j < std::min(end, i + m); ++j) {
-        leaf->boxes.push_back(entries[j].box);
-        leaf->ids.push_back(entries[j].id);
-      }
-      leaf->box = RecomputeBox(*leaf);
-      level.push_back(std::move(leaf));
-    }
-  }
-
-  while (level.size() > 1) {
-    const auto node_center_x_less = [](const std::shared_ptr<Node>& a,
-                                       const std::shared_ptr<Node>& b) {
-      return a->box.Center().x < b->box.Center().x;
-    };
-    const auto node_center_y_less = [](const std::shared_ptr<Node>& a,
-                                       const std::shared_ptr<Node>& b) {
-      return a->box.Center().y < b->box.Center().y;
-    };
-    std::sort(level.begin(), level.end(), node_center_x_less);
-    const size_t nodes = level.size();
-    const size_t num_parents = (nodes + m - 1) / m;
-    const size_t slices = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(num_parents))));
-    const size_t sz = ((num_parents + slices - 1) / slices) * m;
-
-    std::vector<std::shared_ptr<Node>> next_level;
-    for (size_t s = 0; s < nodes; s += sz) {
-      const size_t end = std::min(nodes, s + sz);
-      std::sort(level.begin() + static_cast<ptrdiff_t>(s),
-                level.begin() + static_cast<ptrdiff_t>(end),
-                node_center_y_less);
-      for (size_t i = s; i < end; i += m) {
-        auto parent = std::make_shared<Node>();
-        parent->leaf = false;
-        for (size_t j = i; j < std::min(end, i + m); ++j) {
-          parent->boxes.push_back(level[j]->box);
-          parent->children.push_back(std::move(level[j]));
-        }
-        parent->box = RecomputeBox(*parent);
-        next_level.push_back(std::move(parent));
-      }
-    }
-    level = std::move(next_level);
-  }
-  next->root = std::move(level.front());
-  Publish(std::move(next));
+  Publish(RTree::BulkLoad(std::move(entries), max_entries_));
   return Status::Ok();
 }
 
 Status DynamicRTree::Insert(const geom::Box& box, int64_t id) {
-  if (box.IsEmpty() || !std::isfinite(box.min_x) ||
-      !std::isfinite(box.min_y) || !std::isfinite(box.max_x) ||
-      !std::isfinite(box.max_y)) {
-    return Status::InvalidArgument("Insert box must be non-empty and finite");
-  }
-
   MutexLock writer(&writer_mu_);
-  std::shared_ptr<const VersionState> cur;
-  {
-    MutexLock lock(&state_mu_);
-    cur = current_;
-  }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = cur->size + 1;
-  next->version = cur->version + 1;
-  if (cur->root == nullptr) {
-    auto root = std::make_shared<Node>();
-    root->leaf = true;
-    root->boxes.push_back(box);
-    root->ids.push_back(id);
-    root->box = box;
-    next->root = std::move(root);
-  } else {
-    std::shared_ptr<Node> split;
-    std::shared_ptr<Node> root =
-        InsertCow(*cur->root, box, id, max_entries_, min_entries_, &split);
-    if (split != nullptr) {
-      auto new_root = std::make_shared<Node>();
-      new_root->leaf = false;
-      new_root->boxes.push_back(root->box);
-      new_root->boxes.push_back(split->box);
-      new_root->children.push_back(std::move(root));
-      new_root->children.push_back(std::move(split));
-      new_root->box = RecomputeBox(*new_root);
-      root = std::move(new_root);
-    }
-    next->root = std::move(root);
-  }
+  RTree next = Current()->tree;
+  const Status s = next.Insert(box, id);
+  if (!s.ok()) return s;
   Publish(std::move(next));
   return Status::Ok();
 }
 
 Status DynamicRTree::Delete(const geom::Box& box, int64_t id) {
   MutexLock writer(&writer_mu_);
-  std::shared_ptr<const VersionState> cur;
-  {
-    MutexLock lock(&state_mu_);
-    cur = current_;
-  }
-  if (cur->root == nullptr) {
-    return Status::NotFound("Delete: entry not in tree");
-  }
-
-  bool found = false;
-  std::shared_ptr<const Node> root = DeleteCow(*cur->root, box, id, &found);
-  if (!found) {
-    return Status::NotFound("Delete: entry not in tree");
-  }
-  // Collapse a single-child internal root so the height shrinks back.
-  while (root != nullptr && !root->leaf && root->children.size() == 1) {
-    root = root->children[0];
-  }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = cur->size - 1;
-  next->version = cur->version + 1;
-  next->root = std::move(root);
+  RTree next = Current()->tree;
+  const Status s = next.Delete(box, id);
+  if (!s.ok()) return s;
   Publish(std::move(next));
   return Status::Ok();
 }
@@ -484,9 +126,12 @@ DynamicRTree::Snapshot DynamicRTree::snapshot() const {
   return snap;
 }
 
+// size() and version() read under the lock rather than through Current():
+// a copied version pointer could become the last reference to a retired
+// version and free it on the reader's side.
 size_t DynamicRTree::size() const {
   MutexLock lock(&state_mu_);
-  return current_->size;
+  return current_->tree.size();
 }
 
 uint64_t DynamicRTree::version() const {
@@ -509,193 +154,13 @@ int64_t DynamicRTree::limbo_versions() const {
   return static_cast<int64_t>(limbo_.size());
 }
 
-size_t DynamicRTree::Snapshot::size() const {
-  return pin_ == nullptr ? 0 : pin_->state->size;
+const RTree& DynamicRTree::Snapshot::tree() const {
+  static const RTree kEmpty;
+  return pin_ == nullptr ? kEmpty : pin_->state->tree;
 }
 
 uint64_t DynamicRTree::Snapshot::version() const {
   return pin_ == nullptr ? 0 : pin_->state->version;
-}
-
-geom::Box DynamicRTree::Snapshot::Bounds() const {
-  const Node* r = root();
-  return r == nullptr ? geom::Box::Empty() : r->box;
-}
-
-const Node* DynamicRTree::Snapshot::root() const {
-  return pin_ == nullptr ? nullptr : pin_->state->root.get();
-}
-
-void DynamicRTree::Snapshot::Visit(
-    const std::function<bool(const geom::Box&)>& node_pred,
-    const std::function<void(const geom::Box&, int64_t)>& emit) const {
-  const Node* r = root();
-  if (r == nullptr) return;
-  std::vector<const Node*> stack = {r};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      for (size_t i = 0; i < node->boxes.size(); ++i) {
-        if (node_pred(node->boxes[i])) emit(node->boxes[i], node->ids[i]);
-      }
-    } else {
-      for (size_t i = 0; i < node->boxes.size(); ++i) {
-        if (node_pred(node->boxes[i])) {
-          stack.push_back(node->children[i].get());
-        }
-      }
-    }
-  }
-}
-
-std::vector<int64_t> DynamicRTree::Snapshot::QueryIntersects(
-    const geom::Box& query) const {
-  std::vector<int64_t> out;
-  Visit([&](const geom::Box& b) { return b.Intersects(query); },
-        [&](const geom::Box&, int64_t id) { out.push_back(id); });
-  return out;
-}
-
-std::vector<int64_t> DynamicRTree::Snapshot::QueryWithinDistance(
-    const geom::Box& query, double distance) const {
-  std::vector<int64_t> out;
-  Visit(
-      [&](const geom::Box& b) {
-        return geom::MinDistance(b, query) <= distance;
-      },
-      [&](const geom::Box&, int64_t id) { out.push_back(id); });
-  return out;
-}
-
-namespace {
-
-Status CheckNode(const Node* node, bool is_root, int max_entries, int depth,
-                 int leaf_depth, size_t* entries) {
-  if (node->leaf) {
-    if (depth != leaf_depth) return Status::Internal("leaves at unequal depth");
-    if (node->ids.size() != node->boxes.size()) {
-      return Status::Internal("leaf id/box count mismatch");
-    }
-    *entries += node->ids.size();
-  } else {
-    if (node->children.size() != node->boxes.size()) {
-      return Status::Internal("internal child/box count mismatch");
-    }
-  }
-  const size_t count = node->Count();
-  // Underfull nodes are legal (STR tails, non-rebalancing deletes); only
-  // emptiness is an error for non-root nodes.
-  if (!is_root && count == 0) {
-    return Status::Internal("empty non-root node");
-  }
-  if (count > static_cast<size_t>(max_entries)) {
-    return Status::Internal("node overfull");
-  }
-  geom::Box cover = geom::Box::Empty();
-  for (const geom::Box& b : node->boxes) {
-    if (!node->box.Contains(b)) {
-      return Status::Internal("child box escapes parent");
-    }
-    cover.Extend(b);
-  }
-  if (count > 0 && !(cover == node->box)) {
-    return Status::Internal("node box not tight");
-  }
-  if (!node->leaf) {
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      if (!(node->children[i]->box == node->boxes[i])) {
-        return Status::Internal("stale child box");
-      }
-      Status s = CheckNode(node->children[i].get(), false, max_entries,
-                           depth + 1, leaf_depth, entries);
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status DynamicRTree::Snapshot::CheckInvariants() const {
-  const Node* r = root();
-  if (r == nullptr) {
-    if (size() != 0) return Status::Internal("size nonzero with null root");
-    return Status::Ok();
-  }
-  if (size() == 0) return Status::Internal("size zero with live root");
-  int leaf_depth = 0;
-  const Node* n = r;
-  while (!n->leaf) {
-    n = n->children[0].get();
-    ++leaf_depth;
-  }
-  size_t entries = 0;
-  Status s =
-      CheckNode(r, true, pin_->tree->max_entries(), 0, leaf_depth, &entries);
-  if (!s.ok()) return s;
-  if (entries != size()) {
-    return Status::Internal("entry count does not match published size");
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-// Synchronized traversal emitting entry pairs whose boxes satisfy `pred`
-// (monotone under box enlargement), as the static tree's JoinRec.
-template <typename Pred>
-void JoinRec(const Node* a, const Node* b, const Pred& pred,
-             std::vector<std::pair<int64_t, int64_t>>& out) {
-  if (!pred(a->box, b->box)) return;
-  if (a->leaf && b->leaf) {
-    for (size_t i = 0; i < a->boxes.size(); ++i) {
-      for (size_t j = 0; j < b->boxes.size(); ++j) {
-        if (pred(a->boxes[i], b->boxes[j])) {
-          out.emplace_back(a->ids[i], b->ids[j]);
-        }
-      }
-    }
-    return;
-  }
-  if (a->leaf) {
-    for (const auto& child : b->children) JoinRec(a, child.get(), pred, out);
-  } else if (b->leaf) {
-    for (const auto& child : a->children) JoinRec(child.get(), b, pred, out);
-  } else {
-    for (const auto& ca : a->children) {
-      for (const auto& cb : b->children) {
-        JoinRec(ca.get(), cb.get(), pred, out);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<std::pair<int64_t, int64_t>> JoinIntersects(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  if (a.root() == nullptr || b.root() == nullptr) return out;
-  JoinRec(
-      a.root(), b.root(),
-      [](const geom::Box& x, const geom::Box& y) { return x.Intersects(y); },
-      out);
-  return out;
-}
-
-std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b,
-    double distance) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  if (a.root() == nullptr || b.root() == nullptr) return out;
-  JoinRec(
-      a.root(), b.root(),
-      [distance](const geom::Box& x, const geom::Box& y) {
-        return geom::MinDistance(x, y) <= distance;
-      },
-      out);
-  return out;
 }
 
 }  // namespace hasj::index

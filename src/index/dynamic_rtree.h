@@ -2,7 +2,6 @@
 #define HASJ_INDEX_DYNAMIC_RTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -11,18 +10,21 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "geom/box.h"
+#include "index/rtree.h"
 
 namespace hasj::index {
 
-// Mutable R-tree with snapshot-isolated concurrent readers (DESIGN.md §16).
+// Publishes versions of a persistent RTree to snapshot-isolated concurrent
+// readers (DESIGN.md §16). The tree itself — copy-on-write insert and
+// delete, bulk load, queries, joins — is RTree; this class adds only
+// version publishing and epoch reclamation.
 //
-// Writers (Insert/Delete/BulkLoad) serialize on a writer mutex and build a
-// new version by copy-on-write path cloning: only the nodes on the
-// root-to-leaf descent path are copied, every untouched subtree is shared
-// with the previous version by pointer. The finished version is published
-// by swapping an immutable version-state pointer under a second, briefly
-// held state mutex — the only lock readers ever take, so readers never
-// block on an in-progress build and never observe torn state.
+// Writers (Insert/Delete/BulkLoad) serialize on a writer mutex, copy the
+// current RTree value (O(1): the copy shares every node), apply the
+// operation to the copy, and publish the result by swapping an immutable
+// version-state pointer under a second, briefly held state mutex — the
+// only lock readers ever take, so readers never block on an in-progress
+// build and never observe torn state.
 //
 // Reclamation is epoch-based: snapshot() pins the current version; retired
 // versions park on a limbo list until no pin at or below their version
@@ -36,26 +38,7 @@ namespace hasj::index {
 // IntervalApproxCache).
 class DynamicRTree {
  public:
-  struct Entry {
-    geom::Box box;
-    int64_t id = 0;
-  };
-
-  // Immutable once published. Children of a published node are themselves
-  // published (const), so any subtree reachable from a snapshot is frozen.
-  struct Node {
-    bool leaf = true;
-    geom::Box box;
-    // Leaf: boxes[i]/ids[i] are entries. Internal: boxes[i] mirrors
-    // children[i]->box (cached to keep descent scans contiguous).
-    std::vector<geom::Box> boxes;
-    std::vector<int64_t> ids;
-    std::vector<std::shared_ptr<const Node>> children;
-
-    size_t Count() const { return leaf ? ids.size() : children.size(); }
-  };
-
-  struct VersionState;
+  using Entry = RTree::Entry;
 
   // A pinned, immutable view of one published version. Copyable (copies
   // share the pin); the version unpins when the last copy is destroyed.
@@ -64,29 +47,10 @@ class DynamicRTree {
    public:
     Snapshot() = default;
 
-    size_t size() const;
+    // The pinned version's tree; valid while this snapshot (or a copy of
+    // it) lives.
+    const RTree& tree() const;
     uint64_t version() const;
-    geom::Box Bounds() const;
-
-    // Ids of entries whose box intersects `query` (closed-region
-    // semantics, as RTree::QueryIntersects).
-    std::vector<int64_t> QueryIntersects(const geom::Box& query) const;
-    // Ids of entries with MinDistance(entry box, query) <= distance.
-    std::vector<int64_t> QueryWithinDistance(const geom::Box& query,
-                                             double distance) const;
-    // Entries in tree order, pruned by the monotone `node_pred`.
-    void Visit(const std::function<bool(const geom::Box&)>& node_pred,
-               const std::function<void(const geom::Box&, int64_t)>& emit)
-        const;
-
-    // Structural invariants of this version (mirrors RTree::CheckInvariants
-    // plus an entry-count check): uniform leaf depth, tight and contained
-    // boxes, no overfull nodes, no empty non-root node. Underfull nodes are
-    // legal — deletes do not rebalance (see DESIGN.md §16).
-    [[nodiscard]] Status CheckInvariants() const;
-
-    // Root for structure-walking joins; nullptr when empty.
-    const Node* root() const;
 
    private:
     friend class DynamicRTree;
@@ -100,20 +64,15 @@ class DynamicRTree {
   DynamicRTree(const DynamicRTree&) = delete;
   DynamicRTree& operator=(const DynamicRTree&) = delete;
 
-  // Bulk STR load into an empty tree (kFailedPrecondition-free: returns
-  // InvalidArgument if the tree already holds entries). Publishes one
-  // version.
+  // STR bulk load into an empty tree: kInvalidArgument if the tree already
+  // holds entries or an entry box is empty. Publishes one version.
   [[nodiscard]] Status BulkLoad(std::vector<Entry> entries);
 
-  // Inserts one entry and publishes a new version. `box` must be
-  // non-empty and finite. Duplicate (box, id) pairs are legal (the tree is
-  // a multiset); Delete removes one occurrence.
+  // RTree::Insert on the current version, published as a new version.
   [[nodiscard]] Status Insert(const geom::Box& box, int64_t id);
 
-  // Removes one entry matching (box, id) exactly and publishes a new
-  // version; kNotFound when absent. Emptied nodes are dropped and a
-  // single-child internal root collapses, but no re-distribution happens —
-  // underfull nodes are tolerated exactly as STR bulk load's are.
+  // RTree::Delete on the current version, published as a new version;
+  // kNotFound when absent.
   [[nodiscard]] Status Delete(const geom::Box& box, int64_t id);
 
   // Pins and returns the current version. O(1); never blocks on writers.
@@ -123,7 +82,6 @@ class DynamicRTree {
   // Published version counter; bumps once per successful mutation. Doubles
   // as the epoch for epoch-keyed caches.
   uint64_t version() const HASJ_EXCLUDES(state_mu_);
-  int max_entries() const { return max_entries_; }
 
   // Reclamation telemetry for tests: versions retired to limbo / freed.
   int64_t retired_versions() const HASJ_EXCLUDES(state_mu_);
@@ -132,8 +90,14 @@ class DynamicRTree {
   int64_t limbo_versions() const HASJ_EXCLUDES(state_mu_);
 
  private:
-  void Publish(std::shared_ptr<const VersionState> next)
+  struct VersionState;
+
+  // The current version, for writers: under writer_mu_ it cannot be
+  // retired while the caller holds it.
+  std::shared_ptr<const VersionState> Current() const
       HASJ_REQUIRES(writer_mu_) HASJ_EXCLUDES(state_mu_);
+  // Publishes `tree` as the version after the current one.
+  void Publish(RTree tree) HASJ_REQUIRES(writer_mu_) HASJ_EXCLUDES(state_mu_);
   void Unpin(uint64_t version) const HASJ_EXCLUDES(state_mu_);
   // Moves every limbo version below the lowest pin into *reclaim (caller
   // destroys outside the lock).
@@ -141,8 +105,7 @@ class DynamicRTree {
       std::vector<std::shared_ptr<const VersionState>>* reclaim) const
       HASJ_REQUIRES(state_mu_);
 
-  const int max_entries_;
-  const int min_entries_;
+  const int max_entries_;  // fanout M of every published tree
 
   // Serializes writers across their whole copy-on-write build; never held
   // by readers. Acquired before state_mu_ (Publish).
@@ -159,15 +122,6 @@ class DynamicRTree {
   mutable int64_t retired_total_ HASJ_GUARDED_BY(state_mu_) = 0;
   mutable int64_t reclaimed_total_ HASJ_GUARDED_BY(state_mu_) = 0;
 };
-
-// Snapshot-pair joins, mirroring the static-tree JoinIntersects /
-// JoinWithinDistance over pinned versions. Either side may come from a
-// different tree (or the same tree at different versions).
-std::vector<std::pair<int64_t, int64_t>> JoinIntersects(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b);
-std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b,
-    double distance);
 
 }  // namespace hasj::index
 

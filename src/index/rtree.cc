@@ -8,12 +8,16 @@
 
 namespace hasj::index {
 
+// Immutable once reachable from a tree: writes clone the nodes they change
+// (InsertCow/DeleteCow), so every subtree a copy can reach stays frozen.
 struct RTree::Node {
   bool leaf = true;
-  geom::Box box;                                  // union of children
-  std::vector<geom::Box> boxes;                   // per-child boxes
-  std::vector<int64_t> ids;                       // leaf entries
-  std::vector<std::unique_ptr<Node>> children;    // internal children
+  geom::Box box;  // union of boxes
+  // Leaf: boxes[i]/ids[i] are entries. Internal: boxes[i] mirrors
+  // children[i]->box (cached to keep descent scans contiguous).
+  std::vector<geom::Box> boxes;
+  std::vector<int64_t> ids;
+  std::vector<std::shared_ptr<const Node>> children;
 
   size_t Count() const { return leaf ? ids.size() : children.size(); }
 
@@ -55,45 +59,43 @@ std::pair<size_t, size_t> PickSeeds(const std::vector<geom::Box>& boxes) {
 }  // namespace
 
 RTree::RTree(int max_entries, SplitPolicy split)
-    : root_(std::make_unique<Node>()),
-      max_entries_(max_entries),
+    : max_entries_(max_entries),
       min_entries_(std::max(2, max_entries * 2 / 5)),
       split_(split) {
   HASJ_CHECK(max_entries >= 4);
 }
 
-RTree::~RTree() = default;
-RTree::RTree(RTree&&) noexcept = default;
-RTree& RTree::operator=(RTree&&) noexcept = default;
-
 int RTree::height() const {
-  if (size_ == 0) return 0;
-  int h = 1;
-  const Node* n = root_.get();
-  while (!n->leaf) {
-    n = n->children[0].get();
+  int h = 0;
+  for (const Node* n = root_.get(); n != nullptr;
+       n = n->leaf ? nullptr : n->children[0].get()) {
     ++h;
   }
   return h;
 }
 
+geom::Box RTree::Bounds() const {
+  return root_ == nullptr ? geom::Box::Empty() : root_->box;
+}
+
 namespace {
 
-// Splits the children of `node` (boxes plus either ids or child nodes) into
-// two groups with Guttman's quadratic algorithm. Returns the new sibling;
-// `node` keeps group 1.
-std::unique_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
+// Splits the children of a freshly cloned `node` (boxes plus either ids or
+// child nodes) into two groups with Guttman's quadratic algorithm. Returns
+// the new sibling; `node` keeps group 1.
+std::shared_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
   const size_t n = node->boxes.size();
   auto [seed0, seed1] = PickSeeds(node->boxes);
 
   std::vector<geom::Box> boxes = std::move(node->boxes);
   std::vector<int64_t> ids = std::move(node->ids);
-  std::vector<std::unique_ptr<Node>> children = std::move(node->children);
+  std::vector<std::shared_ptr<const Node>> children =
+      std::move(node->children);
   node->boxes.clear();
   node->ids.clear();
   node->children.clear();
 
-  auto sibling = std::make_unique<Node>();
+  auto sibling = std::make_shared<Node>();
   sibling->leaf = node->leaf;
 
   std::vector<bool> assigned(n, false);
@@ -172,7 +174,7 @@ std::unique_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
 // area). No forced reinsertion — this is the split alone, which already
 // captures most of the query-quality difference against the quadratic
 // split (see bench/ablation_rtree).
-std::unique_ptr<Node> RStarSplit(Node* node, int min_entries) {
+std::shared_ptr<Node> RStarSplit(Node* node, int min_entries) {
   const int n = static_cast<int>(node->boxes.size());
   std::vector<int> order(static_cast<size_t>(n));
 
@@ -251,11 +253,12 @@ std::unique_ptr<Node> RStarSplit(Node* node, int min_entries) {
   // Materialize the two groups: node keeps the first best_k in sort order.
   std::vector<geom::Box> boxes = std::move(node->boxes);
   std::vector<int64_t> ids = std::move(node->ids);
-  std::vector<std::unique_ptr<Node>> children = std::move(node->children);
+  std::vector<std::shared_ptr<const Node>> children =
+      std::move(node->children);
   node->boxes.clear();
   node->ids.clear();
   node->children.clear();
-  auto sibling = std::make_unique<Node>();
+  auto sibling = std::make_shared<Node>();
   sibling->leaf = node->leaf;
   for (int i = 0; i < n; ++i) {
     const size_t src = static_cast<size_t>(best_order[static_cast<size_t>(i)]);
@@ -272,32 +275,37 @@ std::unique_ptr<Node> RStarSplit(Node* node, int min_entries) {
   return sibling;
 }
 
-std::unique_ptr<Node> Split(Node* node, int min_entries, SplitPolicy policy) {
+std::shared_ptr<Node> Split(Node* node, int min_entries, SplitPolicy policy) {
   return policy == SplitPolicy::kRStar ? RStarSplit(node, min_entries)
                                        : QuadraticSplit(node, min_entries);
 }
 
-// Recursive insert; returns the new sibling if the child split.
-std::unique_ptr<Node> InsertRec(Node* node, const geom::Box& box, int64_t id,
-                                int max_entries, int min_entries,
-                                SplitPolicy policy) {
-  if (node->leaf) {
-    node->boxes.push_back(box);
-    node->ids.push_back(id);
-    node->box.Extend(box);
-    if (node->Count() > static_cast<size_t>(max_entries)) {
-      return Split(node, min_entries, policy);
+// Copy-on-write insert: returns a clone of `node` with (box, id) added.
+// Only the descent path is cloned; all other subtrees are shared with the
+// source tree. On overflow the clone is split and *split receives the
+// sibling.
+std::shared_ptr<Node> InsertCow(const Node& node, const geom::Box& box,
+                                int64_t id, int max_entries, int min_entries,
+                                SplitPolicy policy,
+                                std::shared_ptr<Node>* split) {
+  auto clone = std::make_shared<Node>(node);
+  if (clone->leaf) {
+    clone->boxes.push_back(box);
+    clone->ids.push_back(id);
+    clone->box.Extend(box);
+    if (clone->Count() > static_cast<size_t>(max_entries)) {
+      *split = Split(clone.get(), min_entries, policy);
     }
-    return nullptr;
+    return clone;
   }
 
   // ChooseLeaf: child needing least enlargement, ties by smallest area.
   size_t best = 0;
   double best_enl = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node->boxes.size(); ++i) {
-    const double enl = EnlargementNeeded(node->boxes[i], box);
-    const double area = node->boxes[i].Area();
+  for (size_t i = 0; i < clone->boxes.size(); ++i) {
+    const double enl = EnlargementNeeded(clone->boxes[i], box);
+    const double area = clone->boxes[i].Area();
     if (enl < best_enl || (enl == best_enl && area < best_area)) {
       best_enl = enl;
       best_area = area;
@@ -305,36 +313,115 @@ std::unique_ptr<Node> InsertRec(Node* node, const geom::Box& box, int64_t id,
     }
   }
 
-  std::unique_ptr<Node> split = InsertRec(node->children[best].get(), box, id,
-                                          max_entries, min_entries, policy);
-  node->boxes[best] = node->children[best]->box;
-  node->box.Extend(box);
-  if (split != nullptr) {
-    node->boxes.push_back(split->box);
-    node->children.push_back(std::move(split));
-    if (node->Count() > static_cast<size_t>(max_entries)) {
-      return Split(node, min_entries, policy);
+  std::shared_ptr<Node> child_split;
+  clone->children[best] =
+      InsertCow(*clone->children[best], box, id, max_entries, min_entries,
+                policy, &child_split);
+  clone->boxes[best] = clone->children[best]->box;
+  clone->box.Extend(box);
+  if (child_split != nullptr) {
+    clone->boxes.push_back(child_split->box);
+    clone->children.push_back(std::move(child_split));
+    if (clone->Count() > static_cast<size_t>(max_entries)) {
+      *split = Split(clone.get(), min_entries, policy);
     }
+  }
+  return clone;
+}
+
+// Copy-on-write delete of one exact (box, id) entry. Returns the cloned
+// subtree with the entry removed, or nullptr when the subtree emptied out
+// (the caller drops it). *found stays false when no entry matched, in
+// which case nothing was cloned along this branch.
+std::shared_ptr<const Node> DeleteCow(const Node& node, const geom::Box& box,
+                                      int64_t id, bool* found) {
+  if (node.leaf) {
+    for (size_t i = 0; i < node.ids.size(); ++i) {
+      if (node.ids[i] == id && node.boxes[i] == box) {
+        *found = true;
+        if (node.ids.size() == 1) return nullptr;
+        auto clone = std::make_shared<Node>(node);
+        clone->boxes.erase(clone->boxes.begin() +
+                           static_cast<ptrdiff_t>(i));
+        clone->ids.erase(clone->ids.begin() + static_cast<ptrdiff_t>(i));
+        clone->Recompute();
+        return clone;
+      }
+    }
+    return nullptr;
+  }
+
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    // Every entry box is contained in its ancestors' boxes (Insert extends
+    // the whole descent path), so only containing children can hold it.
+    if (!node.boxes[i].Contains(box)) continue;
+    bool child_found = false;
+    std::shared_ptr<const Node> child =
+        DeleteCow(*node.children[i], box, id, &child_found);
+    if (!child_found) continue;
+    *found = true;
+    if (child == nullptr && node.children.size() == 1) return nullptr;
+    auto clone = std::make_shared<Node>(node);
+    if (child == nullptr) {
+      clone->boxes.erase(clone->boxes.begin() + static_cast<ptrdiff_t>(i));
+      clone->children.erase(clone->children.begin() +
+                            static_cast<ptrdiff_t>(i));
+    } else {
+      clone->boxes[i] = child->box;
+      clone->children[i] = std::move(child);
+    }
+    clone->Recompute();
+    return clone;
   }
   return nullptr;
 }
 
 }  // namespace
 
-void RTree::Insert(const geom::Box& box, int64_t id) {
-  std::unique_ptr<Node> split =
-      InsertRec(root_.get(), box, id, max_entries_, min_entries_, split_);
-  if (split != nullptr) {
-    auto new_root = std::make_unique<Node>();
-    new_root->leaf = false;
-    new_root->boxes.push_back(root_->box);
-    new_root->boxes.push_back(split->box);
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split));
-    new_root->Recompute();
-    root_ = std::move(new_root);
+Status RTree::Insert(const geom::Box& box, int64_t id) {
+  if (box.IsEmpty() || !std::isfinite(box.min_x) ||
+      !std::isfinite(box.min_y) || !std::isfinite(box.max_x) ||
+      !std::isfinite(box.max_y)) {
+    return Status::InvalidArgument("Insert box must be non-empty and finite");
+  }
+  if (root_ == nullptr) {
+    auto leaf = std::make_shared<Node>();
+    leaf->boxes.push_back(box);
+    leaf->ids.push_back(id);
+    leaf->box = box;
+    root_ = std::move(leaf);
+  } else {
+    std::shared_ptr<Node> split;
+    std::shared_ptr<Node> root = InsertCow(*root_, box, id, max_entries_,
+                                           min_entries_, split_, &split);
+    if (split != nullptr) {
+      auto new_root = std::make_shared<Node>();
+      new_root->leaf = false;
+      new_root->boxes.push_back(root->box);
+      new_root->boxes.push_back(split->box);
+      new_root->children.push_back(std::move(root));
+      new_root->children.push_back(std::move(split));
+      new_root->Recompute();
+      root = std::move(new_root);
+    }
+    root_ = std::move(root);
   }
   ++size_;
+  return Status::Ok();
+}
+
+Status RTree::Delete(const geom::Box& box, int64_t id) {
+  bool found = false;
+  std::shared_ptr<const Node> root;
+  if (root_ != nullptr) root = DeleteCow(*root_, box, id, &found);
+  if (!found) return Status::NotFound("Delete: entry not in tree");
+  // Collapse a single-child internal root so the height shrinks back.
+  while (root != nullptr && !root->leaf && root->children.size() == 1) {
+    root = root->children[0];
+  }
+  root_ = std::move(root);
+  --size_;
+  return Status::Ok();
 }
 
 RTree RTree::BulkLoad(std::vector<Entry> entries, int max_entries) {
@@ -359,13 +446,13 @@ RTree RTree::BulkLoad(std::vector<Entry> entries, int max_entries) {
       static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_leaves))));
   const size_t slice_size = ((num_leaves + num_slices - 1) / num_slices) * m;
 
-  std::vector<std::unique_ptr<Node>> level;
+  std::vector<std::shared_ptr<Node>> level;
   for (size_t s = 0; s < n; s += slice_size) {
     const size_t end = std::min(n, s + slice_size);
     std::sort(entries.begin() + static_cast<ptrdiff_t>(s),
               entries.begin() + static_cast<ptrdiff_t>(end), center_y_less);
     for (size_t i = s; i < end; i += m) {
-      auto leaf = std::make_unique<Node>();
+      auto leaf = std::make_shared<Node>();
       leaf->leaf = true;
       for (size_t j = i; j < std::min(end, i + m); ++j) {
         leaf->boxes.push_back(entries[j].box);
@@ -377,27 +464,30 @@ RTree RTree::BulkLoad(std::vector<Entry> entries, int max_entries) {
   }
 
   // Pack upper levels the same way until a single root remains.
+  const auto node_center_x_less = [](const std::shared_ptr<Node>& a,
+                                     const std::shared_ptr<Node>& b) {
+    return a->box.Center().x < b->box.Center().x;
+  };
+  const auto node_center_y_less = [](const std::shared_ptr<Node>& a,
+                                     const std::shared_ptr<Node>& b) {
+    return a->box.Center().y < b->box.Center().y;
+  };
   while (level.size() > 1) {
-    std::sort(level.begin(), level.end(),
-              [](const std::unique_ptr<Node>& a, const std::unique_ptr<Node>& b) {
-                return a->box.Center().x < b->box.Center().x;
-              });
+    std::sort(level.begin(), level.end(), node_center_x_less);
     const size_t nodes = level.size();
     const size_t num_parents = (nodes + m - 1) / m;
     const size_t slices =
         static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_parents))));
     const size_t sz = ((num_parents + slices - 1) / slices) * m;
 
-    std::vector<std::unique_ptr<Node>> next;
+    std::vector<std::shared_ptr<Node>> next;
     for (size_t s = 0; s < nodes; s += sz) {
       const size_t end = std::min(nodes, s + sz);
       std::sort(level.begin() + static_cast<ptrdiff_t>(s),
                 level.begin() + static_cast<ptrdiff_t>(end),
-                [](const std::unique_ptr<Node>& a, const std::unique_ptr<Node>& b) {
-                  return a->box.Center().y < b->box.Center().y;
-                });
+                node_center_y_less);
       for (size_t i = s; i < end; i += m) {
-        auto parent = std::make_unique<Node>();
+        auto parent = std::make_shared<Node>();
         parent->leaf = false;
         for (size_t j = i; j < std::min(end, i + m); ++j) {
           parent->boxes.push_back(level[j]->box);
@@ -416,7 +506,7 @@ RTree RTree::BulkLoad(std::vector<Entry> entries, int max_entries) {
 void RTree::Visit(
     const std::function<bool(const geom::Box&)>& node_pred,
     const std::function<void(const geom::Box&, int64_t)>& emit) const {
-  if (size_ == 0) return;
+  if (root_ == nullptr) return;
   std::vector<const Node*> stack = {root_.get()};
   while (!stack.empty()) {
     const Node* node = stack.back();
@@ -434,7 +524,7 @@ void RTree::Visit(
 }
 
 int64_t RTree::NodesTouched(const geom::Box& window) const {
-  if (size_ == 0) return 0;
+  if (root_ == nullptr) return 0;
   int64_t touched = 0;
   std::vector<const Node*> stack = {root_.get()};
   while (!stack.empty()) {
@@ -466,22 +556,22 @@ std::vector<int64_t> RTree::QueryWithinDistance(const geom::Box& query,
 
 namespace {
 
-Status CheckNode(const Node* node, bool is_root, int max_entries,
-                 int min_entries, int depth, int leaf_depth) {
+Status CheckNode(const Node* node, bool is_root, int max_entries, int depth,
+                 int leaf_depth, size_t* entries) {
   if (node->leaf) {
     if (depth != leaf_depth) return Status::Internal("leaves at unequal depth");
     if (node->ids.size() != node->boxes.size()) {
       return Status::Internal("leaf id/box count mismatch");
     }
+    *entries += node->ids.size();
   } else {
     if (node->children.size() != node->boxes.size()) {
       return Status::Internal("internal child/box count mismatch");
     }
   }
   const size_t count = node->Count();
-  // STR bulk loading legitimately leaves tail nodes below Guttman's minimum
-  // fill, so only emptiness is an error for non-root nodes.
-  (void)min_entries;
+  // Underfull nodes are legal (STR tails, non-rebalancing deletes); only
+  // emptiness is an error for non-root nodes.
   if (!is_root && count == 0) {
     return Status::Internal("empty non-root node");
   }
@@ -502,7 +592,7 @@ Status CheckNode(const Node* node, bool is_root, int max_entries,
         return Status::Internal("stale child box");
       }
       Status s = CheckNode(node->children[i].get(), false, max_entries,
-                           min_entries, depth + 1, leaf_depth);
+                           depth + 1, leaf_depth, entries);
       if (!s.ok()) return s;
     }
   }
@@ -512,14 +602,19 @@ Status CheckNode(const Node* node, bool is_root, int max_entries,
 }  // namespace
 
 Status RTree::CheckInvariants() const {
-  if (size_ == 0) return Status::Ok();
-  int leaf_depth = 0;
-  const Node* n = root_.get();
-  while (!n->leaf) {
-    n = n->children[0].get();
-    ++leaf_depth;
+  if (root_ == nullptr) {
+    if (size_ != 0) return Status::Internal("size nonzero with null root");
+    return Status::Ok();
   }
-  return CheckNode(root_.get(), true, max_entries_, min_entries_, 0, leaf_depth);
+  if (size_ == 0) return Status::Internal("size zero with live root");
+  size_t entries = 0;
+  Status s =
+      CheckNode(root_.get(), true, max_entries_, 0, height() - 1, &entries);
+  if (!s.ok()) return s;
+  if (entries != size_) {
+    return Status::Internal("entry count does not match size");
+  }
+  return Status::Ok();
 }
 
 namespace {

@@ -17,12 +17,18 @@ enum class SplitPolicy {
   kRStar,      // R*-tree split: margin-sum axis choice, min-overlap cut
 };
 
-// R-tree over (MBR, id) entries: Guttman insertion with a choice of split
-// policy, plus Sort-Tile-Recursive bulk loading. This is the MBR-filtering
-// substrate of the paper's query pipeline (Figure 8); ids refer into a
-// dataset.
+// Persistent R-tree over (MBR, id) entries: Guttman insertion with a choice
+// of split policy, exact-entry deletion, and Sort-Tile-Recursive bulk
+// loading. This is the MBR-filtering substrate of the paper's query
+// pipeline (Figure 8); ids refer into a dataset.
 //
-// Move-only (owns its node tree).
+// Nodes are immutable once built and shared between copies, so copying a
+// tree is O(1) and a copy taken before an Insert or Delete keeps its old
+// contents: writes path-copy the root-to-leaf descent and share every
+// untouched subtree. Copies of one tree may be read from many threads
+// while a writer changes its own copy; one RTree object must not be
+// written while it is read. DynamicRTree publishes versions of this tree
+// to concurrent readers (DESIGN.md §16).
 class RTree {
  public:
   struct Entry {
@@ -34,20 +40,26 @@ class RTree {
   // recommendation.
   explicit RTree(int max_entries = 16,
                  SplitPolicy split = SplitPolicy::kQuadratic);
-  RTree(RTree&&) noexcept;             // defined out of line: Node is
-  RTree& operator=(RTree&&) noexcept;  // incomplete at this point
-  RTree(const RTree&) = delete;
-  RTree& operator=(const RTree&) = delete;
-  ~RTree();
 
   // Builds a packed tree bottom-up with Sort-Tile-Recursive; much better
   // quality and build time than repeated insertion for static datasets.
   [[nodiscard]] static RTree BulkLoad(std::vector<Entry> entries, int max_entries = 16);
 
-  void Insert(const geom::Box& box, int64_t id);
+  // Adds one entry. `box` must be non-empty and finite (kInvalidArgument
+  // otherwise). Duplicate (box, id) pairs are legal: the tree is a
+  // multiset, and Delete removes one occurrence.
+  [[nodiscard]] Status Insert(const geom::Box& box, int64_t id);
+
+  // Removes one entry matching (box, id) exactly; kNotFound when absent.
+  // Emptied nodes are dropped and a single-child internal root collapses,
+  // but no re-distribution happens — underfull nodes are tolerated exactly
+  // as STR bulk load's are.
+  [[nodiscard]] Status Delete(const geom::Box& box, int64_t id);
 
   size_t size() const { return size_; }
   int height() const;  // 1 for a single leaf; 0 only for the empty tree
+  // Union of the entry boxes; empty for the empty tree.
+  geom::Box Bounds() const;
 
   // Ids of entries whose box intersects the window (closed boxes).
   std::vector<int64_t> QueryIntersects(const geom::Box& window) const;
@@ -66,17 +78,17 @@ class RTree {
   void Visit(const std::function<bool(const geom::Box&)>& node_pred,
              const std::function<void(const geom::Box&, int64_t)>& emit) const;
 
-  // Structural invariants: child boxes contained in parent boxes, fill
-  // bounds respected (root excepted), uniform leaf depth.
+  // Structural invariants: child boxes contained in and tight to parent
+  // boxes, no overfull node, no empty non-root node, uniform leaf depth,
+  // and as many entries as size(). Underfull nodes are legal (STR tails,
+  // non-rebalancing deletes).
   [[nodiscard]] Status CheckInvariants() const;
 
   struct Node;  // exposed for the join's synchronized traversal
-  const Node* root() const { return root_.get(); }
+  const Node* root() const { return root_.get(); }  // nullptr when empty
 
  private:
-  friend struct RTreeJoinAccess;
-
-  std::unique_ptr<Node> root_;
+  std::shared_ptr<const Node> root_;
   int max_entries_;
   int min_entries_;
   SplitPolicy split_ = SplitPolicy::kQuadratic;

@@ -61,6 +61,20 @@ TEST(VersionedDatasetTest, SeedFromRequiresEmptyStore) {
   EXPECT_EQ(store.SeedFrom(base).code(), StatusCode::kInvalidArgument);
 }
 
+// An oversized seed is refused without claiming any slot, so the store
+// stays empty and keeps accepting inserts from id 0.
+TEST(VersionedDatasetTest, FailedOversizedSeedLeavesStoreUsable) {
+  const Dataset base = GenerateDataset(SmallProfile(7));
+  VersionedDataset store("vd", base.size() - 1);
+  EXPECT_EQ(store.SeedFrom(base).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(store.live(), 0u);
+
+  Result<int64_t> id = store.Insert(geom::Polygon({{0, 0}, {2, 0}, {1, 2}}));
+  ASSERT_TRUE(id.ok()) << id.status().message();
+  EXPECT_EQ(id.value(), 0);
+  EXPECT_EQ(store.live(), 1u);
+}
+
 TEST(VersionedDatasetTest, InsertDeleteVisibilityAndIsolation) {
   VersionedDataset store("vd", 16);
   geom::Polygon tri({{0, 0}, {2, 0}, {1, 2}});

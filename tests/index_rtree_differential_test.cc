@@ -217,40 +217,8 @@ void MixPairs(const PairVec& pairs, Digest* d) {
   d->pairs += static_cast<int64_t>(pairs.size());
 }
 
-// Height and NodesTouched of a pinned version, walked from its root.
-int Height(const DynamicRTree::Snapshot& snap) {
-  int h = 0;
-  for (const DynamicRTree::Node* n = snap.root(); n != nullptr;
-       n = n->leaf ? nullptr : n->children[0].get()) {
-    ++h;
-  }
-  return h;
-}
-int Height(const RTree& tree) { return tree.height(); }
-
-int64_t NodesTouched(const DynamicRTree::Snapshot& snap, const Box& window) {
-  int64_t touched = 0;
-  std::vector<const DynamicRTree::Node*> stack;
-  if (snap.root() != nullptr) stack.push_back(snap.root());
-  while (!stack.empty()) {
-    const DynamicRTree::Node* node = stack.back();
-    stack.pop_back();
-    if (!node->box.Intersects(window)) continue;
-    ++touched;
-    if (!node->leaf) {
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-  }
-  return touched;
-}
-int64_t NodesTouched(const RTree& tree, const Box& window) {
-  return tree.NodesTouched(window);
-}
-
-// Structure, size, height and the window queries of one tree (an RTree or
-// a pinned DynamicRTree version).
-template <typename Tree>
-void DigestTree(const Tree& t, Digest* d) {
+// Structure, size, height and the window queries of one tree.
+void DigestTree(const RTree& t, Digest* d) {
   t.Visit(
       [&](const Box& b) {
         d->trace.Mix(b);
@@ -258,12 +226,12 @@ void DigestTree(const Tree& t, Digest* d) {
       },
       [&](const Box&, int64_t id) { d->trace.Mix(id); });
   d->size = t.size();
-  d->height = Height(t);
+  d->height = t.height();
   for (const Box& w : kWindows) {
     const std::vector<int64_t> hits = t.QueryIntersects(w);
     d->queries.Mix(static_cast<int64_t>(hits.size()));
     for (int64_t id : hits) d->queries.Mix(id);
-    d->nodes += NodesTouched(t, w);
+    d->nodes += t.NodesTouched(w);
     for (double dist : kDistances) {
       const std::vector<int64_t> near = t.QueryWithinDistance(w, dist);
       d->queries.Mix(static_cast<int64_t>(near.size()));
@@ -272,8 +240,7 @@ void DigestTree(const Tree& t, Digest* d) {
   }
 }
 
-template <typename Tree>
-void DigestJoins(const Tree& t, const Tree& partner, Digest* d) {
+void DigestJoins(const RTree& t, const RTree& partner, Digest* d) {
   MixPairs(JoinIntersects(t, partner), d);
   MixPairs(JoinIntersects(partner, t), d);
   MixPairs(JoinIntersects(t, t), d);
@@ -345,7 +312,9 @@ TEST(RTreeDifferentialTest, BulkLoadM8) {
 
 RTree InsertAll(int n, uint64_t seed, SplitPolicy split) {
   RTree tree(8, split);
-  for (const RTree::Entry& e : Entries(seed, n)) tree.Insert(e.box, e.id);
+  for (const RTree::Entry& e : Entries(seed, n)) {
+    EXPECT_TRUE(tree.Insert(e.box, e.id).ok());
+  }
   return tree;
 }
 
@@ -372,7 +341,8 @@ TEST(RTreeDifferentialTest, DynamicStream) {
     DynamicRTree partner_tree(16);
     ASSERT_TRUE(partner_tree.BulkLoad(
         Entries<DynamicRTree::Entry>(kPartnerSeed, 300)).ok());
-    const DynamicRTree::Snapshot partner = partner_tree.snapshot();
+    const DynamicRTree::Snapshot partner_pin = partner_tree.snapshot();
+    const RTree& partner = partner_pin.tree();
 
     DynamicRTree tree(8);
     std::vector<DynamicRTree::Entry> live =
@@ -399,11 +369,12 @@ TEST(RTreeDifferentialTest, DynamicStream) {
     }
     ASSERT_EQ(pins.size(), 4u);
     for (size_t k = 0; k < pins.size(); ++k) {
+      const RTree& version = pins[k].tree();
       Digest d;
-      DigestTree(pins[k], &d);
-      DigestJoins(pins[k], partner, &d);
-      MixPairs(JoinIntersects(pins[k], pins[k == 0 ? 0 : k - 1]), &d);
-      EXPECT_TRUE(pins[k].CheckInvariants().ok()) << "n=" << n << " k=" << k;
+      DigestTree(version, &d);
+      DigestJoins(version, partner, &d);
+      MixPairs(JoinIntersects(version, pins[k == 0 ? 0 : k - 1].tree()), &d);
+      EXPECT_TRUE(version.CheckInvariants().ok()) << "n=" << n << " k=" << k;
       CheckGolden(CaseName("dynamic", n) + "/v" +
                            std::to_string(pins[k].version()),
                        d);
@@ -418,7 +389,7 @@ TEST(RTreeDifferentialTest, DynamicBulkLoadMatchesStatic) {
     DynamicRTree dynamic(8);
     ASSERT_TRUE(dynamic.BulkLoad(Entries<DynamicRTree::Entry>(7000 + n, n)).ok());
     Digest from_dynamic, from_static;
-    DigestTree(dynamic.snapshot(), &from_dynamic);
+    DigestTree(dynamic.snapshot().tree(), &from_dynamic);
     DigestTree(RTree::BulkLoad(Entries(7000 + n, n), 8), &from_static);
     EXPECT_EQ(from_dynamic.Line(), from_static.Line()) << "n=" << n;
   }

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 
 namespace hasj::index {
 namespace {
@@ -42,7 +48,7 @@ TEST(RTreeTest, EmptyTree) {
 
 TEST(RTreeTest, SingleEntry) {
   RTree tree;
-  tree.Insert(Box(1, 1, 2, 2), 42);
+  ASSERT_TRUE(tree.Insert(Box(1, 1, 2, 2), 42).ok());
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1);
   const auto hits = tree.QueryIntersects(Box(0, 0, 3, 3));
@@ -61,7 +67,7 @@ TEST_P(RTreeBuildTest, QueriesMatchLinearScan) {
   RTree tree = [&] {
     if (bulk) return RTree::BulkLoad(entries, 8);
     RTree t(8);
-    for (const auto& e : entries) t.Insert(e.box, e.id);
+    for (const auto& e : entries) EXPECT_TRUE(t.Insert(e.box, e.id).ok());
     return t;
   }();
   EXPECT_EQ(tree.size(), static_cast<size_t>(n));
@@ -85,7 +91,7 @@ TEST_P(RTreeBuildTest, DistanceQueriesMatchLinearScan) {
   const auto entries = RandomEntries(rng, n);
   RTree tree = bulk ? RTree::BulkLoad(entries, 8) : RTree(8);
   if (!bulk) {
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
+    for (const auto& e : entries) ASSERT_TRUE(tree.Insert(e.box, e.id).ok());
   }
   for (int q = 0; q < 30; ++q) {
     const double x = rng.Uniform(0, 100);
@@ -185,7 +191,7 @@ TEST(RStarSplitTest, QueriesMatchLinearScan) {
   hasj::Rng rng(0xbec);
   const auto entries = RandomEntries(rng, 1500);
   RTree tree(8, SplitPolicy::kRStar);
-  for (const auto& e : entries) tree.Insert(e.box, e.id);
+  for (const auto& e : entries) ASSERT_TRUE(tree.Insert(e.box, e.id).ok());
   EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
   for (int q = 0; q < 40; ++q) {
     const double x = rng.Uniform(-10, 110), y = rng.Uniform(-10, 110);
@@ -202,8 +208,8 @@ TEST(RStarSplitTest, BetterOrEqualQueryQualityThanQuadratic) {
   RTree quadratic(8, SplitPolicy::kQuadratic);
   RTree rstar(8, SplitPolicy::kRStar);
   for (const auto& e : entries) {
-    quadratic.Insert(e.box, e.id);
-    rstar.Insert(e.box, e.id);
+    ASSERT_TRUE(quadratic.Insert(e.box, e.id).ok());
+    ASSERT_TRUE(rstar.Insert(e.box, e.id).ok());
   }
   int64_t nodes_quadratic = 0, nodes_rstar = 0;
   for (int q = 0; q < 200; ++q) {
@@ -231,10 +237,145 @@ TEST(RTreeTest, NodesTouchedSaneBounds) {
 TEST(RTreeTest, HeightGrowsLogarithmically) {
   RTree tree(8);
   hasj::Rng rng(79);
-  for (const auto& e : RandomEntries(rng, 2000)) tree.Insert(e.box, e.id);
+  for (const auto& e : RandomEntries(rng, 2000)) {
+    ASSERT_TRUE(tree.Insert(e.box, e.id).ok());
+  }
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GE(tree.height(), 3);
   EXPECT_LE(tree.height(), 8);
+}
+
+TEST(RTreeTest, InsertRejectsEmptyAndNonFiniteBoxes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  RTree tree(8);
+  ASSERT_TRUE(tree.Insert(Box(1, 1, 2, 2), 1).ok());
+  for (const Box& bad : {Box::Empty(), Box(nan, 0, 1, 1), Box(0, nan, 1, 1),
+                         Box(0, 0, nan, 1), Box(0, 0, 1, nan),
+                         Box(-inf, 0, 1, 1), Box(0, 0, inf, 1),
+                         Box(0, -inf, 1, inf)}) {
+    EXPECT_EQ(tree.Insert(bad, 2).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.QueryIntersects(Box(-10, -10, 10, 10)),
+            (std::vector<int64_t>{1}));
+}
+
+TEST(RTreeTest, DeleteMissingEntryIsNotFound) {
+  RTree tree(8);
+  EXPECT_EQ(tree.Delete(Box(0, 0, 1, 1), 1).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(tree.Insert(Box(0, 0, 1, 1), 1).ok());
+  // Same id, different box, and same box, different id, both miss.
+  EXPECT_EQ(tree.Delete(Box(0, 0, 1, 2), 1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree.Delete(Box(0, 0, 1, 1), 2).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(tree.Delete(Box(0, 0, 1, 1), 1).ok());
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.height(), 0);
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+// Copies share nodes, and writes path-copy: a copy taken before an Insert
+// or Delete keeps answering with its old contents.
+TEST(RTreeTest, CopyBeforeWriteKeepsOldContents) {
+  hasj::Rng rng(83);
+  const auto entries = RandomEntries(rng, 600);
+  for (const bool bulk : {false, true}) {
+    RTree tree = bulk ? RTree::BulkLoad(entries, 8) : RTree(8);
+    if (!bulk) {
+      for (const auto& e : entries) ASSERT_TRUE(tree.Insert(e.box, e.id).ok());
+    }
+    const RTree before = tree;
+    const Box window(20, 20, 60, 60);
+    const std::vector<int64_t> old_hits = before.QueryIntersects(window);
+    const auto old_pairs = JoinIntersects(before, before);
+
+    std::vector<RTree::Entry> live = entries;
+    for (int i = 0; i < 200; ++i) {
+      const double x = rng.Uniform(0, 100), y = rng.Uniform(0, 100);
+      live.push_back({Box(x, y, x + 3, y + 3), 10000 + i});
+      ASSERT_TRUE(tree.Insert(live.back().box, live.back().id).ok());
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      ASSERT_TRUE(tree.Delete(live[pick].box, live[pick].id).ok());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+    }
+    ASSERT_TRUE(tree.CheckInvariants().ok());
+    const std::vector<int64_t> new_hits = tree.QueryIntersects(window);
+    EXPECT_EQ(std::set<int64_t>(new_hits.begin(), new_hits.end()),
+              LinearScanIntersects(live, window));
+
+    // The copy is untouched: same size, same ordered results, still valid.
+    EXPECT_EQ(before.size(), entries.size());
+    EXPECT_TRUE(before.CheckInvariants().ok())
+        << before.CheckInvariants().ToString();
+    EXPECT_EQ(before.QueryIntersects(window), old_hits);
+    EXPECT_EQ(std::set<int64_t>(old_hits.begin(), old_hits.end()),
+              LinearScanIntersects(entries, window));
+    EXPECT_EQ(JoinIntersects(before, before), old_pairs);
+  }
+}
+
+// Readers query and join copies of one tree while a writer inserts into
+// and deletes from its own copy. Every copy shares nodes with the others,
+// so under TSan this covers the node sharing itself, not only the
+// DynamicRTree publish/pin protocol.
+TEST(RTreeTest, ConcurrentCopiesShareNodes) {
+  hasj::Rng seed_rng(89);
+  const auto entries = RandomEntries(seed_rng, 400);
+  const RTree shared = RTree::BulkLoad(entries, 8);
+  const Box window(10, 10, 60, 60);
+  const std::set<int64_t> expected_hits = LinearScanIntersects(entries, window);
+  const auto expected_pairs = JoinIntersects(shared, shared);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    hasj::Rng rng(97);
+    RTree mine = shared;
+    std::vector<RTree::Entry> live = entries;
+    for (int i = 0; i < 2000; ++i) {
+      if (rng.Bernoulli(0.45)) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        if (!mine.Delete(live[pick].box, live[pick].id).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+      } else {
+        const double x = rng.Uniform(0, 100), y = rng.Uniform(0, 100);
+        const RTree::Entry e{Box(x, y, x + 2, y + 2), 1000 + i};
+        if (!mine.Insert(e.box, e.id).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        live.push_back(e);
+      }
+    }
+    if (!mine.CheckInvariants().ok() || mine.size() != live.size()) {
+      failures.fetch_add(1, std::memory_order_relaxed);
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      do {
+        const RTree copy = shared;
+        const auto hits = copy.QueryIntersects(window);
+        if (std::set<int64_t>(hits.begin(), hits.end()) != expected_hits ||
+            JoinIntersects(copy, shared) != expected_pairs ||
+            !copy.CheckInvariants().ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(shared.size(), entries.size());
 }
 
 }  // namespace
