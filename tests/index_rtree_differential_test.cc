@@ -162,10 +162,9 @@ class Fnv {
 // Seeded entries in [0, 100)^2. Every 11th entry repeats an earlier box and
 // every 7th is degenerate (zero width), so split and STR tie-breaking is
 // exercised too.
-template <typename Entry = RTree::Entry>
-std::vector<Entry> Entries(uint64_t seed, int n) {
+std::vector<RTree::Entry> Entries(uint64_t seed, int n) {
   hasj::Rng rng(seed);
-  std::vector<Entry> entries;
+  std::vector<RTree::Entry> entries;
   for (int i = 0; i < n; ++i) {
     Box box;
     if (i % 11 == 10) {
@@ -339,14 +338,12 @@ TEST(RTreeDifferentialTest, DynamicStream) {
   constexpr int kPinAfter[] = {0, 50, 150, 400};
   for (int n : kSizes) {
     DynamicRTree partner_tree(16);
-    ASSERT_TRUE(partner_tree.BulkLoad(
-        Entries<DynamicRTree::Entry>(kPartnerSeed, 300)).ok());
+    ASSERT_TRUE(partner_tree.BulkLoad(Entries(kPartnerSeed, 300)).ok());
     const DynamicRTree::Snapshot partner_pin = partner_tree.snapshot();
     const RTree& partner = partner_pin.tree();
 
     DynamicRTree tree(8);
-    std::vector<DynamicRTree::Entry> live =
-        Entries<DynamicRTree::Entry>(5000 + n, n);
+    std::vector<RTree::Entry> live = Entries(5000 + n, n);
     ASSERT_TRUE(tree.BulkLoad(live).ok());
     hasj::Rng rng(6000 + static_cast<uint64_t>(n));
     std::vector<DynamicRTree::Snapshot> pins;
@@ -361,7 +358,7 @@ TEST(RTreeDifferentialTest, DynamicStream) {
       } else {
         const double x = rng.Uniform(0, 100);
         const double y = rng.Uniform(0, 100);
-        const DynamicRTree::Entry e{
+        const RTree::Entry e{
             Box(x, y, x + rng.Uniform(0, 4), y + 1.5), 100000 + op};
         ASSERT_TRUE(tree.Insert(e.box, e.id).ok());
         live.push_back(e);
@@ -375,9 +372,9 @@ TEST(RTreeDifferentialTest, DynamicStream) {
       DigestJoins(version, partner, &d);
       MixPairs(JoinIntersects(version, pins[k == 0 ? 0 : k - 1].tree()), &d);
       EXPECT_TRUE(version.CheckInvariants().ok()) << "n=" << n << " k=" << k;
-      CheckGolden(CaseName("dynamic", n) + "/v" +
-                           std::to_string(pins[k].version()),
-                       d);
+      CheckGolden(
+          CaseName("dynamic", n) + "/v" + std::to_string(pins[k].version()),
+          d);
     }
   }
 }
@@ -387,7 +384,7 @@ TEST(RTreeDifferentialTest, DynamicStream) {
 TEST(RTreeDifferentialTest, DynamicBulkLoadMatchesStatic) {
   for (int n : kSizes) {
     DynamicRTree dynamic(8);
-    ASSERT_TRUE(dynamic.BulkLoad(Entries<DynamicRTree::Entry>(7000 + n, n)).ok());
+    ASSERT_TRUE(dynamic.BulkLoad(Entries(7000 + n, n)).ok());
     Digest from_dynamic, from_static;
     DigestTree(dynamic.snapshot().tree(), &from_dynamic);
     DigestTree(RTree::BulkLoad(Entries(7000 + n, n), 8), &from_static);
