@@ -28,12 +28,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target common_thread_pool_test core_parallel_refinement_test \
   obs_metrics_test obs_trace_test common_fault_test chaos_fault_test \
   index_rtree_test index_dynamic_rtree_test data_versioned_dataset_test \
-  core_server_test core_reload_consistency_test chaos_snapshot_test
+  core_server_test core_pinned_input_test chaos_snapshot_test
 
 # Halt on the first report and fail the process so CI sees it.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPoolTest|ParallelRefinementTest|CounterTest|HistogramTest|HistogramBucketsTest|GaugeTest|RegistryTest|MetricsSnapshotTest|TraceSessionTest|FaultInjectorTest|CircuitBreakerTest|ChaosFaultTest|RTreeTest|DynamicRTreeTest|VersionedDatasetTest|QueryServerTest|ReloadConsistencyTest|ChaosSnapshotTest'
+  -R 'ThreadPoolTest|ParallelRefinementTest|CounterTest|HistogramTest|HistogramBucketsTest|GaugeTest|RegistryTest|MetricsSnapshotTest|TraceSessionTest|FaultInjectorTest|CircuitBreakerTest|ChaosFaultTest|RTreeTest|DynamicRTreeTest|VersionedDatasetTest|QueryServerTest|PinnedInputTest|ChaosSnapshotTest'
 
 echo "TSan check passed."

@@ -279,7 +279,7 @@ def check_metric_name(path, lines, src, root):
 STATUS_APIS = (
     r"(?:Validate|CheckInvariants|SaveDataset|WriteSvg"
     r"|BeginRender|BeginScan|BeginFill|TryClear|HwStep|ParallelFor|Check"
-    r"|BuildIntervalApprox|ReloadDatasetInPlace"
+    r"|BuildIntervalApprox"
     # Mutable-store / server Status APIs (DESIGN.md §16): discarding an
     # Insert/Delete/SeedFrom/ApplyUpdateOp status hides a lost update;
     # discarding QueryServer::Start hides a server that never ran.

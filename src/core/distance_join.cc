@@ -9,29 +9,30 @@ namespace hasj::core {
 
 WithinDistanceJoin::WithinDistanceJoin(const data::Dataset& a,
                                        const data::Dataset& b)
-    : index_a_(a), index_b_(b) {}
+    : a_(a.snapshot()),
+      b_(b.snapshot()),
+      rtree_a_(a_.BuildRTree()),
+      rtree_b_(b_.BuildRTree()),
+      interval_cache_a_(a_.polygons(), JoinFrame(a_, b_)),
+      interval_cache_b_(b_.polygons(), JoinFrame(a_, b_)) {}
 
 DistanceJoinResult WithinDistanceJoin::Run(
     double d, const DistanceJoinOptions& options) const {
-  // Pin one version of each dataset for the whole query: a concurrent
-  // ReloadDatasetInPlace cannot change what this run sees.
-  const data::DatasetIndex::Pinned a = index_a_.Acquire();
-  const data::DatasetIndex::Pinned b = index_b_.Acquire();
   return Publish<DistanceJoinResult>(
       FilterRefine<std::pair<int64_t, int64_t>>(
           PipelineSpec("distance_join", options, true, d),
           // MBR distance lower-bounds object distance.
-          [&] { return index::JoinWithinDistance(a.rtree, b.rtree, d); },
+          [&] { return index::JoinWithinDistance(rtree_a_, rtree_b_, d); },
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;
-            return AcquireJoinIntervals(interval_cache_a_, a,
-                                        interval_cache_b_, b, options.hw,
-                                        options.num_threads, &stages);
+            return AcquireJoinIntervals(interval_cache_a_, interval_cache_b_,
+                                        options.hw, options.num_threads,
+                                        &stages);
           },
           [&](const std::pair<int64_t, int64_t>& c) {
-            return PolygonPair{&a.polygon(static_cast<size_t>(c.first)),
-                               &b.polygon(static_cast<size_t>(c.second))};
+            return PolygonPair{&a_.polygon(static_cast<size_t>(c.first)),
+                               &b_.polygon(static_cast<size_t>(c.second))};
           }));
 }
 

@@ -10,7 +10,6 @@
 #include "core/hw_config.h"
 #include "core/query_stats.h"
 #include "data/dataset.h"
-#include "data/dataset_index.h"
 #include "filter/interval_approx.h"
 #include "index/rtree.h"
 
@@ -53,17 +52,19 @@ struct DistanceJoinResult {
 // -> 1-Object filter -> geometry comparison (Figures 14-16).
 class WithinDistanceJoin {
  public:
+  // Pins both datasets' current content and bulk-loads their R-trees, as
+  // IntersectionJoin does.
   WithinDistanceJoin(const data::Dataset& a, const data::Dataset& b);
 
   [[nodiscard]] DistanceJoinResult Run(double d, const DistanceJoinOptions& options = {}) const;
 
  private:
-  // Epoch-keyed snapshot + R-tree pairs; Run() pins one consistent view of
-  // each side at entry so a concurrent reload cannot mix versions mid-query.
-  data::DatasetIndex index_a_;
-  data::DatasetIndex index_b_;
+  const data::DatasetSnapshot a_;
+  const data::DatasetSnapshot b_;
+  const index::RTree rtree_a_;
+  const index::RTree rtree_b_;
   // Per-side raster-interval approximations (hw.use_intervals) over the
-  // union frame; keyed on each dataset's epoch.
+  // union frame of both datasets.
   filter::IntervalApproxCache interval_cache_a_;
   filter::IntervalApproxCache interval_cache_b_;
 };

@@ -6,27 +6,26 @@
 namespace hasj::core {
 
 WithinDistanceSelection::WithinDistanceSelection(const data::Dataset& dataset)
-    : index_(dataset) {}
+    : data_(dataset.snapshot()),
+      rtree_(data_.BuildRTree()),
+      interval_cache_(data_.polygons(), data_.Bounds()) {}
 
 DistanceSelectionResult WithinDistanceSelection::Run(
     const geom::Polygon& query, double d,
     const DistanceSelectionOptions& options) const {
-  // Pin one dataset version for the whole query: a concurrent
-  // ReloadDatasetInPlace cannot change what this run sees.
-  const data::DatasetIndex::Pinned pin = index_.Acquire();
   return Publish<DistanceSelectionResult>(
       FilterRefine<int64_t>(
           PipelineSpec("distance_selection", options, true, d),
-          [&] { return pin.rtree.QueryWithinDistance(query.Bounds(), d); },
+          [&] { return rtree_.QueryWithinDistance(query.Bounds(), d); },
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;
-            return AcquireSelectionIntervals(interval_cache_, pin, query,
+            return AcquireSelectionIntervals(interval_cache_, query,
                                              options.hw, options.num_threads,
                                              &stages);
           },
           [&](int64_t id) {
-            return PolygonPair{&pin.polygon(static_cast<size_t>(id)), &query};
+            return PolygonPair{&data_.polygon(static_cast<size_t>(id)), &query};
           }));
 }
 

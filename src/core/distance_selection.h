@@ -9,7 +9,6 @@
 #include "core/hw_config.h"
 #include "core/query_stats.h"
 #include "data/dataset.h"
-#include "data/dataset_index.h"
 #include "filter/interval_approx.h"
 #include "geom/polygon.h"
 #include "index/rtree.h"
@@ -53,17 +52,18 @@ struct DistanceSelectionResult {
 // distance test.
 class WithinDistanceSelection {
  public:
+  // Pins the dataset's current content and bulk-loads its R-tree, as
+  // IntersectionSelection does.
   explicit WithinDistanceSelection(const data::Dataset& dataset);
 
   [[nodiscard]] DistanceSelectionResult Run(const geom::Polygon& query, double d,
                               const DistanceSelectionOptions& options = {}) const;
 
  private:
-  // Epoch-keyed snapshot + R-tree pair; Run() pins one consistent view at
-  // entry so a concurrent reload cannot mix dataset versions mid-query.
-  data::DatasetIndex index_;
-  // Dataset-level raster-interval approximation (hw.use_intervals), built
-  // on first use and keyed on the dataset epoch.
+  const data::DatasetSnapshot data_;
+  const index::RTree rtree_;
+  // Raster-interval approximation of data_ (hw.use_intervals), built on
+  // first use and shared across queries.
   filter::IntervalApproxCache interval_cache_;
 };
 

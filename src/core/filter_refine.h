@@ -126,10 +126,8 @@ class RasterSide {
   }
   void Fix(filter::RasterSignature query) { fixed_ = std::move(query); }
   bool active() const { return cache_.has_value() || fixed_.has_value(); }
-  const filter::RasterSignature& Get(int64_t id,
-                                     const geom::Polygon& polygon) const {
-    return cache_.has_value() ? cache_->Get(static_cast<size_t>(id), polygon)
-                              : *fixed_;
+  const filter::RasterSignature& Get(int64_t id) const {
+    return cache_.has_value() ? cache_->Get(static_cast<size_t>(id)) : *fixed_;
   }
 
  private:
@@ -224,8 +222,7 @@ inline Verdict Decide(const FilterStages& stages, bool intervals, bool join,
   }
   if (stages.raster_a.active()) {
     switch (filter::CompareRasterSignatures(
-        stages.raster_a.Get(ids.first, *pp.first),
-        stages.raster_b.Get(ids.second, *pp.second))) {
+        stages.raster_a.Get(ids.first), stages.raster_b.Get(ids.second))) {
       case filter::RasterFilterDecision::kIntersect:
         ++t->raster_positives;
         return Verdict::kAccept;
@@ -302,8 +299,8 @@ FilterRefineOutcome<Cand> FilterRefine(const FilterRefineSpec& spec,
               continue;
             }
             const auto [id_a, id_b] = SideIds(c);
-            stages.raster_a.Get(id_a, *pp.first);
-            stages.raster_b.Get(id_b, *pp.second);
+            stages.raster_a.Get(id_a);
+            stages.raster_b.Get(id_b);
           }
         });
   }

@@ -70,7 +70,7 @@ struct HwConfig {
   int batch_size = 1024;
   // Raster-interval secondary filter (filter/interval_approx, DESIGN.md
   // §12): approximate every dataset object as sorted Hilbert-cell interval
-  // lists once per dataset epoch, then decide candidate pairs before
+  // lists once per pipeline and grid, then decide candidate pairs before
   // refinement — TRUE-HIT pairs skip the hardware testers entirely,
   // TRUE-MISS pairs are dropped, only INCONCLUSIVE pairs are refined.
   bool use_intervals = false;

@@ -12,7 +12,6 @@
 #include "data/dataset.h"
 #include "filter/interval_approx.h"
 #include "filter/signature_cache.h"
-#include "data/dataset_index.h"
 #include "index/rtree.h"
 
 namespace hasj::core {
@@ -60,23 +59,23 @@ struct JoinResult {
 // caches; per-worker testers), so concurrent Run() calls are safe.
 class IntersectionJoin {
  public:
-  // Keeps references to both datasets; builds both R-trees eagerly. Each
-  // Run() pins both datasets' content and trees at entry, so an in-place
-  // reload mid-query cannot mix epochs (DESIGN.md §16).
+  // Pins both datasets' current content and bulk-loads their R-trees;
+  // every Run() reads that pinned input, so later Adds never reach this
+  // pipeline and the datasets need not outlive it (DESIGN.md §16).
   IntersectionJoin(const data::Dataset& a, const data::Dataset& b);
 
   [[nodiscard]] JoinResult Run(const JoinOptions& options = {}) const;
 
  private:
-  // Epoch-pinned content + R-tree per side, acquired once per Run().
-  data::DatasetIndex index_a_;
-  data::DatasetIndex index_b_;
+  const data::DatasetSnapshot a_;
+  const data::DatasetSnapshot b_;
+  const index::RTree rtree_a_;
+  const index::RTree rtree_b_;
   // Per-side raster signatures, cached across runs at a fixed grid.
   filter::SignatureCache sig_cache_a_;
   filter::SignatureCache sig_cache_b_;
   // Per-side raster-interval approximations (hw.use_intervals), built over
-  // the union frame of both datasets so cell indices are comparable; keyed
-  // on each dataset's epoch so in-place reloads rebuild them.
+  // the union frame of both datasets so cell indices are comparable.
   filter::IntervalApproxCache interval_cache_a_;
   filter::IntervalApproxCache interval_cache_b_;
 };

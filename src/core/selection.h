@@ -10,7 +10,6 @@
 #include "core/hw_config.h"
 #include "core/query_stats.h"
 #include "data/dataset.h"
-#include "data/dataset_index.h"
 #include "filter/interval_approx.h"
 #include "filter/signature_cache.h"
 #include "geom/polygon.h"
@@ -69,9 +68,9 @@ struct SelectionResult {
 // parallel refinement workers inside one call — are safe.
 class IntersectionSelection {
  public:
-  // Keeps a reference to the dataset; builds the R-tree eagerly. Each
-  // Run() pins the dataset content and tree at entry, so a reload-in-place
-  // mid-query cannot mix epochs (DESIGN.md §16).
+  // Pins the dataset's current content and bulk-loads its R-tree; every
+  // Run() reads that pinned input, so later Adds to `dataset` never reach
+  // this pipeline and `dataset` need not outlive it (DESIGN.md §16).
   explicit IntersectionSelection(const data::Dataset& dataset);
   ~IntersectionSelection();
 
@@ -79,15 +78,14 @@ class IntersectionSelection {
                       const SelectionOptions& options = {}) const;
 
  private:
-  // Epoch-pinned content + R-tree, acquired once per Run().
-  data::DatasetIndex index_;
-  // Lazy raster signatures, keyed by object id; a run acquires a snapshot
-  // for its grid size, so grid changes install a fresh slot array instead
-  // of clearing one that another run may still be reading.
+  const data::DatasetSnapshot data_;
+  const index::RTree rtree_;
+  // Lazy raster signatures of data_, keyed by object id; a run acquires a
+  // snapshot for its grid size, so grid changes install a fresh slot array
+  // instead of clearing one that another run may still be reading.
   filter::SignatureCache signature_cache_;
-  // Dataset-level raster-interval approximation (hw.use_intervals), built
-  // on first use and shared across queries; keyed on the dataset epoch so
-  // an in-place reload rebuilds it.
+  // Raster-interval approximation of data_ (hw.use_intervals), built on
+  // first use and shared across queries.
   filter::IntervalApproxCache interval_cache_;
 };
 

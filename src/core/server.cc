@@ -57,6 +57,14 @@ Status QueryServer::Start() {
     return Status::InvalidArgument(
         "degradation watermarks must be non-decreasing");
   }
+  // An L3 query indexes the grids by store id, so each must cover them all.
+  for (const filter::SlotIntervalGrid* grid :
+       {config_.options.intervals, config_.options.intervals_b}) {
+    if (grid != nullptr && grid->capacity() < store_->capacity()) {
+      return Status::InvalidArgument(
+          "slot interval grid capacity is below the store capacity");
+    }
+  }
   MutexLock lock(&mu_);
   if (started_) return Status::Unavailable("server already started");
   started_ = true;

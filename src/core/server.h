@@ -99,7 +99,8 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   // Spawns the workers. kFailedPrecondition-free: Ok, or kInvalidArgument
-  // for a bad config, or kUnavailable if already started.
+  // for a bad config (including a slot interval grid with a smaller
+  // capacity than the store), or kUnavailable if already started.
   [[nodiscard]] Status Start() HASJ_EXCLUDES(mu_);
 
   // Stops accepting queries, fails every still-queued query with

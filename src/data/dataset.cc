@@ -1,7 +1,7 @@
 #include "data/dataset.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace hasj::data {
 
@@ -10,19 +10,14 @@ Dataset::Dataset(const Dataset& other) {
   name_ = other.name_;
   content_ = other.content_;  // shared until either side mutates
   extent_ = other.extent_;
-  epoch_.store(other.epoch_.load(std::memory_order_acquire),
-               std::memory_order_release);
 }
 
 Dataset::Dataset(Dataset&& other) noexcept {
   MutexLock lock(&other.mu_);
   name_ = std::move(other.name_);
-  content_ = std::move(other.content_);
-  other.content_ = std::make_shared<std::vector<geom::Polygon>>();
-  extent_ = other.extent_;
-  other.extent_ = geom::Box::Empty();
-  epoch_.store(other.epoch_.load(std::memory_order_acquire),
-               std::memory_order_release);
+  content_ = std::exchange(other.content_,
+                           std::make_shared<std::vector<geom::Polygon>>());
+  extent_ = std::exchange(other.extent_, geom::Box::Empty());
 }
 
 Dataset& Dataset::operator=(const Dataset& other) {
@@ -33,29 +28,11 @@ Dataset& Dataset::operator=(const Dataset& other) {
 
 Dataset& Dataset::operator=(Dataset&& other) noexcept {
   if (this == &other) return *this;
-  std::shared_ptr<std::vector<geom::Polygon>> content;
-  geom::Box extent;
-  std::string name;
-  uint64_t other_epoch;
-  {
-    MutexLock lock(&other.mu_);
-    name = std::move(other.name_);
-    content = std::move(other.content_);
-    other.content_ = std::make_shared<std::vector<geom::Polygon>>();
-    extent = other.extent_;
-    other.extent_ = geom::Box::Empty();
-    other_epoch = other.epoch_.load(std::memory_order_acquire);
-  }
-  {
-    MutexLock lock(&mu_);
-    name_ = std::move(name);
-    content_ = std::move(content);
-    extent_ = extent;
-    // Keep the epoch monotone for any cache already keyed on this dataset.
-    const uint64_t mine = epoch_.load(std::memory_order_acquire);
-    epoch_.store(std::max(mine + 1, other_epoch + 1),
-                 std::memory_order_release);
-  }
+  Dataset taken(std::move(other));
+  MutexLock lock(&mu_);
+  name_ = std::move(taken.name_);
+  content_ = std::move(taken.content_);
+  extent_ = taken.extent_;
   return *this;
 }
 
@@ -70,31 +47,6 @@ void Dataset::Add(geom::Polygon polygon) {
   EnsureUniqueLocked();
   extent_.Extend(polygon.Bounds());
   content_->push_back(std::move(polygon));
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void Dataset::Clear() {
-  MutexLock lock(&mu_);
-  // Snapshots holding the old content keep it alive; start fresh here.
-  content_ = std::make_shared<std::vector<geom::Polygon>>();
-  extent_ = geom::Box::Empty();
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void Dataset::ReplaceWith(Dataset&& other) {
-  std::shared_ptr<std::vector<geom::Polygon>> content;
-  geom::Box extent;
-  {
-    MutexLock lock(&other.mu_);
-    content = std::move(other.content_);
-    other.content_ = std::make_shared<std::vector<geom::Polygon>>();
-    extent = other.extent_;
-    other.extent_ = geom::Box::Empty();
-  }
-  MutexLock lock(&mu_);
-  content_ = std::move(content);
-  extent_ = extent;
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 DatasetSnapshot Dataset::snapshot() const {
@@ -102,7 +54,6 @@ DatasetSnapshot Dataset::snapshot() const {
   MutexLock lock(&mu_);
   snap.polygons_ = content_;
   snap.extent_ = extent_;
-  snap.epoch_ = epoch_.load(std::memory_order_acquire);
   return snap;
 }
 
@@ -126,13 +77,13 @@ DatasetStats Dataset::Stats() const {
   return s;
 }
 
-index::RTree DatasetSnapshot::BuildRTree(int max_entries) const {
+index::RTree DatasetSnapshot::BuildRTree() const {
   std::vector<index::RTree::Entry> entries;
   entries.reserve(size());
   for (size_t i = 0; i < size(); ++i) {
     entries.push_back({mbr(i), static_cast<int64_t>(i)});
   }
-  return index::RTree::BulkLoad(std::move(entries), max_entries);
+  return index::RTree::BulkLoad(std::move(entries));
 }
 
 double BaseDistance(const Dataset& a, const Dataset& b) {

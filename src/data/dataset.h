@@ -1,7 +1,6 @@
 #ifndef HASJ_DATA_DATASET_H_
 #define HASJ_DATA_DATASET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,10 +28,10 @@ struct DatasetStats {
   double mean_mbr_height = 0.0;
 };
 
-// An immutable view of a dataset's content at one epoch. Holds the polygon
-// vector alive independently of later mutations/reloads of the source
-// Dataset, so a pipeline that pins a snapshot at query start computes its
-// whole result against one consistent version (DESIGN.md §16).
+// An immutable view of a dataset's content. Holds the polygon vector alive
+// independently of later mutations of the source Dataset, so a pipeline
+// that pins a snapshot at construction computes every result against that
+// one version (DESIGN.md §16).
 class DatasetSnapshot {
  public:
   DatasetSnapshot() = default;
@@ -43,16 +42,14 @@ class DatasetSnapshot {
   const geom::Box& mbr(size_t id) const { return (*polygons_)[id].Bounds(); }
   const std::vector<geom::Polygon>& polygons() const { return *polygons_; }
   const geom::Box& Bounds() const { return extent_; }
-  uint64_t epoch() const { return epoch_; }
 
   // STR bulk-loaded R-tree over the MBRs (ids = positions).
-  index::RTree BuildRTree(int max_entries = 16) const;
+  index::RTree BuildRTree() const;
 
  private:
   friend class Dataset;
   std::shared_ptr<const std::vector<geom::Polygon>> polygons_;
   geom::Box extent_ = geom::Box::Empty();
-  uint64_t epoch_ = 0;
 };
 
 // An in-memory polygon dataset: the unit the query pipelines operate on.
@@ -60,11 +57,11 @@ class DatasetSnapshot {
 //
 // Content is held copy-on-write: snapshot() is O(1) and returns an
 // immutable view; a mutation that would affect outstanding snapshots
-// clones the vector first, so snapshots are never torn. Mutations and
-// snapshot()/ReplaceWith are safe against each other from any thread; the
-// plain accessors (polygon/size/Bounds/...) read without locking and keep
-// the legacy contract — callers serialize them against mutations, or pin a
-// snapshot and read that instead.
+// clones the vector first, so snapshots are never torn. Add and snapshot()
+// are safe against each other from any thread; the plain accessors
+// (polygon/size/Bounds/...) read without locking and keep the legacy
+// contract — callers serialize them against Add, or pin a snapshot and read
+// that instead.
 class Dataset {
  public:
   Dataset() : content_(std::make_shared<std::vector<geom::Polygon>>()) {}
@@ -90,21 +87,6 @@ class Dataset {
 
   void Add(geom::Polygon polygon) HASJ_EXCLUDES(mu_);
 
-  // Drops every polygon (keeping the name) so the dataset can be refilled
-  // in place, e.g. by ReloadDatasetInPlace.
-  void Clear() HASJ_EXCLUDES(mu_);
-
-  // Atomically replaces the content with `other`'s in a single epoch bump:
-  // readers pinning a snapshot see either the full old or the full new
-  // content, never the emptied-out intermediate a Clear+Add loop exposes.
-  void ReplaceWith(Dataset&& other) HASJ_EXCLUDES(mu_);
-
-  // Monotone content version: bumped by every Add/Clear/ReplaceWith.
-  // Derived snapshots (filter/signature_cache, filter/interval_approx) key
-  // on it so a dataset reloaded in place invalidates them instead of
-  // silently serving approximations of polygons that no longer exist.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
   const geom::Box& Bounds() const { return extent_; }
 
   // Pins the current content. O(1); safe against concurrent mutations.
@@ -113,8 +95,8 @@ class Dataset {
   DatasetStats Stats() const;
 
   // STR bulk-loaded R-tree over the current content's MBRs.
-  index::RTree BuildRTree(int max_entries = 16) const HASJ_EXCLUDES(mu_) {
-    return snapshot().BuildRTree(max_entries);
+  index::RTree BuildRTree() const HASJ_EXCLUDES(mu_) {
+    return snapshot().BuildRTree();
   }
 
  private:
@@ -131,7 +113,6 @@ class Dataset {
   std::shared_ptr<std::vector<geom::Polygon>> content_;
   // lint:allow(guarded-by-coverage): same contract as content_.
   geom::Box extent_ = geom::Box::Empty();
-  std::atomic<uint64_t> epoch_{0};
 };
 
 // The paper's Equation 2: the base query distance for a within-distance

@@ -60,15 +60,4 @@ Result<Dataset> LoadDataset(const std::string& path, std::string name,
   return dataset;
 }
 
-Status ReloadDatasetInPlace(const std::string& path, Dataset* dataset,
-                            const LoadLimits& limits) {
-  Result<Dataset> loaded = LoadDataset(path, dataset->name(), limits);
-  if (!loaded.ok()) return loaded.status();
-  // Single-bump atomic swap: a reader pinning a snapshot concurrently sees
-  // either the full pre-reload or full post-reload content, never the
-  // emptied-out intermediate the old Clear+Add loop exposed mid-swap.
-  dataset->ReplaceWith(std::move(loaded).value());
-  return Status::Ok();
-}
-
 }  // namespace hasj::data

@@ -32,14 +32,6 @@ struct LoadLimits {
 [[nodiscard]] Result<Dataset> LoadDataset(const std::string& path, std::string name = "",
                                           const LoadLimits& limits = {});
 
-// Replaces `dataset`'s polygons with the file's contents, keeping its name
-// and bumping its epoch (so signature/interval caches keyed on the epoch
-// rebuild instead of serving stale snapshots). All-or-nothing: the file is
-// parsed into a scratch dataset first, and on any error `dataset` is left
-// untouched.
-[[nodiscard]] Status ReloadDatasetInPlace(const std::string& path, Dataset* dataset,
-                                          const LoadLimits& limits = {});
-
 }  // namespace hasj::data
 
 #endif  // HASJ_DATA_IO_H_

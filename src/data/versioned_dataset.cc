@@ -7,9 +7,8 @@
 
 namespace hasj::data {
 
-VersionedDataset::VersionedDataset(std::string name, size_t capacity,
-                                   int max_entries)
-    : name_(std::move(name)), slots_(capacity), index_(max_entries) {}
+VersionedDataset::VersionedDataset(std::string name, size_t capacity)
+    : name_(std::move(name)), slots_(capacity) {}
 
 Status VersionedDataset::SeedFrom(const Dataset& dataset) {
   // Checked before claiming, so an oversized seed leaves the store empty

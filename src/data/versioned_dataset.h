@@ -24,7 +24,7 @@ namespace hasj::data {
 // governed entirely by a DynamicRTree over the slot MBRs — a snapshot sees
 // exactly the slots live in its pinned index version. Ids are slot
 // positions and are never reused; the index version counter doubles as the
-// content epoch for epoch-keyed caches.
+// content epoch a query pins (QueryResponse::epoch).
 //
 // Concurrency: Insert claims a slot with an atomic counter, writes the
 // polygon, then publishes it through the index (the index's publish mutex
@@ -73,7 +73,7 @@ class VersionedDataset {
   // `capacity` bounds the total number of Insert/SeedFrom objects over the
   // store's lifetime (ids are never reused, so deletes do not return
   // capacity).
-  VersionedDataset(std::string name, size_t capacity, int max_entries = 16);
+  VersionedDataset(std::string name, size_t capacity);
 
   VersionedDataset(const VersionedDataset&) = delete;
   VersionedDataset& operator=(const VersionedDataset&) = delete;

@@ -297,22 +297,15 @@ Result<IntervalApprox> BuildIntervalApprox(
 }
 
 Result<std::shared_ptr<const IntervalApprox>> IntervalApproxCache::Acquire(
-    std::span<const geom::Polygon> polygons, const geom::Box& frame,
-    uint64_t epoch, const IntervalApproxConfig& config) const {
+    const IntervalApproxConfig& config) const {
   MutexLock lock(&mu_);
-  const bool fresh = cached_ != nullptr && grid_bits_ == config.grid_bits &&
-                     budget_ == config.memory_budget_bytes &&
-                     epoch_ == epoch && count_ == polygons.size() &&
-                     frame_ == frame;
-  if (!fresh) {
+  if (cached_ == nullptr || grid_bits_ != config.grid_bits ||
+      budget_ != config.memory_budget_bytes) {
     HASJ_ASSIGN_OR_RETURN(IntervalApprox built,
-                          BuildIntervalApprox(polygons, frame, config));
+                          BuildIntervalApprox(polygons_, frame_, config));
     cached_ = std::make_shared<const IntervalApprox>(std::move(built));
     grid_bits_ = config.grid_bits;
     budget_ = config.memory_budget_bytes;
-    epoch_ = epoch;
-    count_ = polygons.size();
-    frame_ = frame;
   }
   return cached_;
 }

@@ -139,31 +139,32 @@ class IntervalApprox {
     std::span<const geom::Polygon> polygons, const geom::Box& frame,
     const IntervalApproxConfig& config);
 
-// Per-pipeline build-once cache, mirroring SignatureCache: the first query
-// with intervals enabled builds the approximation, later queries share the
-// snapshot. The key includes the dataset epoch (data::Dataset::epoch), so
-// an in-place reload invalidates the snapshot instead of serving intervals
-// for polygons that no longer exist.
+// Per-pipeline build-once cache, mirroring SignatureCache: bound to one
+// polygon set and frame at construction, it builds the approximation on
+// the first query with intervals enabled and shares it with later queries.
+// The key is only what a query's options can vary: grid and budget.
 class IntervalApproxCache {
  public:
+  // `polygons` must outlive the cache.
+  IntervalApproxCache(std::span<const geom::Polygon> polygons,
+                      const geom::Box& frame)
+      : polygons_(polygons), frame_(frame) {}
+
   // Takes mu_ itself — and holds it across a cache-miss build, so
   // concurrent queries at the same key build the approximation once.
   [[nodiscard]] Result<std::shared_ptr<const IntervalApprox>> Acquire(
-      std::span<const geom::Polygon> polygons, const geom::Box& frame,
-      uint64_t epoch, const IntervalApproxConfig& config) const
-      HASJ_EXCLUDES(mu_);
+      const IntervalApproxConfig& config) const HASJ_EXCLUDES(mu_);
 
  private:
+  const std::span<const geom::Polygon> polygons_;
+  const geom::Box frame_;
   mutable Mutex mu_;
-  // The cached snapshot plus the key it was built under (grid, budget,
-  // dataset epoch, object count, frame): mu_ guards the swap-on-key-change;
-  // the pointed-to IntervalApprox is immutable once published.
+  // The cached snapshot plus the key it was built under: mu_ guards the
+  // swap-on-key-change; the pointed-to IntervalApprox is immutable once
+  // published.
   mutable std::shared_ptr<const IntervalApprox> cached_ HASJ_GUARDED_BY(mu_);
   mutable int grid_bits_ HASJ_GUARDED_BY(mu_) = -1;
   mutable int64_t budget_ HASJ_GUARDED_BY(mu_) = -1;
-  mutable uint64_t epoch_ HASJ_GUARDED_BY(mu_) = 0;
-  mutable size_t count_ HASJ_GUARDED_BY(mu_) = 0;
-  mutable geom::Box frame_ HASJ_GUARDED_BY(mu_);
 };
 
 }  // namespace hasj::filter

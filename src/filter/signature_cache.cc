@@ -13,8 +13,7 @@ struct SignatureCache::Snapshot::State {
   };
 
   int grid = 0;
-  size_t count = 0;
-  uint64_t epoch = 0;
+  std::span<const geom::Polygon> polygons;
   std::unique_ptr<Slot[]> slots;
 };
 
@@ -23,30 +22,29 @@ SignatureCache::Snapshot::Snapshot(std::shared_ptr<State> state)
 
 int SignatureCache::Snapshot::grid() const { return state_->grid; }
 
-const RasterSignature& SignatureCache::Snapshot::Get(
-    size_t id, const geom::Polygon& polygon) const {
-  HASJ_CHECK(id < state_->count);
+const RasterSignature& SignatureCache::Snapshot::Get(size_t id) const {
+  HASJ_CHECK(id < state_->polygons.size());
   State::Slot& slot = state_->slots[id];
   std::call_once(slot.once, [&] {
-    slot.signature = std::make_unique<RasterSignature>(polygon, state_->grid);
+    slot.signature =
+        std::make_unique<RasterSignature>(state_->polygons[id], state_->grid);
   });
   return *slot.signature;
 }
 
-SignatureCache::SignatureCache() = default;
+SignatureCache::SignatureCache(std::span<const geom::Polygon> polygons)
+    : polygons_(polygons) {}
+
 SignatureCache::~SignatureCache() = default;
 
-SignatureCache::Snapshot SignatureCache::Acquire(int grid, size_t count,
-                                                 uint64_t epoch) const {
+SignatureCache::Snapshot SignatureCache::Acquire(int grid) const {
   HASJ_CHECK(grid > 0);
   MutexLock lock(&mu_);
-  if (state_ == nullptr || state_->grid != grid || state_->count < count ||
-      state_->epoch != epoch) {
+  if (state_ == nullptr || state_->grid != grid) {
     auto fresh = std::make_shared<Snapshot::State>();
     fresh->grid = grid;
-    fresh->count = count;
-    fresh->epoch = epoch;
-    fresh->slots = std::make_unique<Snapshot::State::Slot[]>(count);
+    fresh->polygons = polygons_;
+    fresh->slots = std::make_unique<Snapshot::State::Slot[]>(polygons_.size());
     state_ = std::move(fresh);
   }
   return Snapshot(state_);

@@ -2,8 +2,8 @@
 #define HASJ_FILTER_SIGNATURE_CACHE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -12,8 +12,8 @@
 
 namespace hasj::filter {
 
-// Thread-safe, reset-correct lazy cache of per-object RasterSignatures for
-// one grid size.
+// Thread-safe, reset-correct lazy cache of per-object RasterSignatures over
+// one fixed polygon set, for one grid size at a time.
 //
 // A query run acquires a Snapshot for its grid before its filter stage;
 // the snapshot pins the slot array, so a later (or concurrent) run that
@@ -29,10 +29,9 @@ class SignatureCache {
    public:
     int grid() const;
 
-    // The signature of object `id`, built from `polygon` on first use
-    // (callers must pass the same polygon for the same id). Safe to call
+    // The signature of object `id`, built on first use. Safe to call
     // concurrently for any ids, including the same id.
-    const RasterSignature& Get(size_t id, const geom::Polygon& polygon) const;
+    const RasterSignature& Get(size_t id) const;
 
    private:
     friend class SignatureCache;
@@ -41,21 +40,20 @@ class SignatureCache {
     std::shared_ptr<State> state_;
   };
 
-  SignatureCache();
+  // Binds the cache to `polygons` (object id = position), which must
+  // outlive the cache and every snapshot it hands out.
+  explicit SignatureCache(std::span<const geom::Polygon> polygons);
   ~SignatureCache();
 
-  // Snapshot for `grid` over objects [0, count) of dataset content version
-  // `epoch` (data::Dataset::epoch); reuses the live slot array when both
-  // match (the cross-query amortization the paper's pre-processing taxonomy
-  // describes), otherwise installs a fresh one. Keying on the epoch is what
-  // keeps an in-place dataset reload from serving signatures built from the
-  // pre-reload polygons.
-  Snapshot Acquire(int grid, size_t count, uint64_t epoch) const
-      HASJ_EXCLUDES(mu_);
+  // Snapshot for `grid`; reuses the live slot array when the grid matches
+  // (the cross-query amortization the paper's pre-processing taxonomy
+  // describes), otherwise installs a fresh one.
+  Snapshot Acquire(int grid) const HASJ_EXCLUDES(mu_);
 
  private:
+  const std::span<const geom::Polygon> polygons_;
   mutable Mutex mu_;
-  // The live slot array. mu_ guards the epoch-keyed swap of this pointer
+  // The live slot array. mu_ guards the grid-keyed swap of this pointer
   // only; the pointed-to State is immutable apart from its per-slot
   // call_once builds, which synchronize themselves.
   mutable std::shared_ptr<Snapshot::State> state_ HASJ_GUARDED_BY(mu_);

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/macros.h"
+
 namespace hasj::filter {
 
 Result<SlotIntervalGrid> SlotIntervalGrid::Create(
@@ -23,6 +25,7 @@ Result<SlotIntervalGrid> SlotIntervalGrid::Create(
 
 const ObjectIntervals& SlotIntervalGrid::Get(
     int64_t id, const geom::Polygon& polygon) const {
+  HASJ_CHECK(id >= 0 && static_cast<size_t>(id) < capacity());
   ObjectIntervals& slot = (*slots_)[static_cast<size_t>(id)];
   std::call_once(flags_[static_cast<size_t>(id)],
                  [&] { slot = base_.ApproximateObject(polygon); });

@@ -15,12 +15,13 @@
 namespace hasj::filter {
 
 // Per-slot raster-interval approximations for a mutable store
-// (data::VersionedDataset). The dataset-level IntervalApproxCache rebuilds
-// the whole approximation whenever the epoch moves — correct for reloads,
-// hopeless under update traffic where every insert bumps the epoch. This
-// grid instead fixes the frame and resolution up front (the serving frame
-// is known at store creation) and approximates each write-once slot at most
-// once, on first use, under a per-slot std::call_once. Slots are immutable
+// (data::VersionedDataset). The dataset-level IntervalApproxCache builds the
+// whole approximation once over a fixed polygon set — right for a static
+// pipeline's pinned input, hopeless under update traffic where every insert
+// changes the content. This grid instead fixes the frame and resolution up
+// front (the serving frame is known at store creation) and approximates each
+// write-once slot at most once, on first use, under a per-slot
+// std::call_once. Slots are immutable
 // once written and ids are never reused, so a cached approximation can
 // never go stale.
 //
@@ -38,9 +39,9 @@ class SlotIntervalGrid {
   SlotIntervalGrid(SlotIntervalGrid&&) = default;
   SlotIntervalGrid& operator=(SlotIntervalGrid&&) = default;
 
-  // The approximation of slot `id`, computing it on first use. `polygon`
-  // must be slot id's geometry (write-once, so every caller passes the same
-  // object).
+  // The approximation of slot `id` (0 <= id < capacity(), checked),
+  // computing it on first use. `polygon` must be slot id's geometry
+  // (write-once, so every caller passes the same object).
   const ObjectIntervals& Get(int64_t id, const geom::Polygon& polygon) const;
 
   // Approximates an ad-hoc (query) object against the same grid.

@@ -34,8 +34,7 @@ namespace hasj::index {
 // publish/unpin boundary, never lazily on a reader's query path.
 //
 // Snapshots must not outlive the tree. The version counter doubles as the
-// dataset epoch for downstream epoch-keyed caches (SignatureCache,
-// IntervalApproxCache).
+// store epoch data::VersionedDataset reports (QueryResponse::epoch).
 class DynamicRTree {
  public:
   using Entry = RTree::Entry;
@@ -79,8 +78,7 @@ class DynamicRTree {
   Snapshot snapshot() const HASJ_EXCLUDES(state_mu_);
 
   size_t size() const HASJ_EXCLUDES(state_mu_);
-  // Published version counter; bumps once per successful mutation. Doubles
-  // as the epoch for epoch-keyed caches.
+  // Published version counter; bumps once per successful mutation.
   uint64_t version() const HASJ_EXCLUDES(state_mu_);
 
   // Reclamation telemetry for tests: versions retired to limbo / freed.

@@ -17,6 +17,7 @@
 #include "core/snapshot_query.h"
 #include "data/generator.h"
 #include "data/versioned_dataset.h"
+#include "filter/slot_interval_grid.h"
 #include "geom/box.h"
 #include "geom/polygon.h"
 #include "obs/metrics.h"
@@ -83,6 +84,38 @@ TEST(QueryServerTest, StartValidatesConfig) {
     QueryServer server(store.get(), config);
     ASSERT_TRUE(server.Start().ok());
     EXPECT_EQ(server.Start().code(), StatusCode::kUnavailable);
+    server.Shutdown();
+  }
+}
+
+// L3 queries index the slot interval grids by store id, so a grid with a
+// smaller capacity than the store is a config error, caught at Start.
+TEST(QueryServerTest, StartRejectsUndersizedIntervalGrid) {
+  const auto store = MakeStore(10, 1);
+  const geom::Box frame(0, 0, kExtent, kExtent);
+  auto small = filter::SlotIntervalGrid::Create(frame, store->capacity() - 1);
+  auto fits = filter::SlotIntervalGrid::Create(frame, store->capacity());
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(fits.ok());
+  {
+    ServerConfig config;
+    config.options.intervals = &small.value();
+    QueryServer server(store.get(), config);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    ServerConfig config;
+    config.options.intervals = &fits.value();
+    config.options.intervals_b = &small.value();
+    QueryServer server(store.get(), config);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    ServerConfig config;
+    config.options.intervals = &fits.value();
+    config.options.intervals_b = &fits.value();
+    QueryServer server(store.get(), config);
+    EXPECT_TRUE(server.Start().ok());
     server.Shutdown();
   }
 }

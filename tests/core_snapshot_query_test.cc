@@ -130,6 +130,22 @@ TEST_P(SnapshotQueryLadderTest, DistanceJoinMatchesOracle) {
   EXPECT_EQ(Sorted(got.pairs), core::OracleDistanceJoin(snap, snap, 4.0));
 }
 
+// A slot grid smaller than its store: an L3 query reaching an id past the
+// grid's capacity must abort on the bounds check, not read past the slots.
+TEST(SnapshotQueryDeathTest, UndersizedIntervalGridAborts) {
+  const auto store = MakeStore(40, 19);
+  auto grid = filter::SlotIntervalGrid::Create(
+      geom::Box(0, 0, kExtent, kExtent), 1, {.grid_bits = 6});
+  ASSERT_TRUE(grid.ok());
+  SnapshotQueryOptions options;
+  options.degrade = DegradeLevel::kIntervalsOnly;
+  options.intervals = &grid.value();
+  const data::VersionedDataset::Snapshot snap = store->snapshot();
+  const geom::Polygon everything = Probe(kExtent / 2, kExtent / 2, kExtent);
+  EXPECT_DEATH(core::SnapshotSelection(snap, everything, options),
+               "HASJ_CHECK failed: id >= 0");
+}
+
 INSTANTIATE_TEST_SUITE_P(Ladder, SnapshotQueryLadderTest,
                          ::testing::Values(DegradeLevel::kNone,
                                            DegradeLevel::kNoBatch,

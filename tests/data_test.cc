@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "algo/simplicity.h"
 #include "common/random.h"
@@ -25,6 +26,34 @@ TEST(DatasetTest, StatsOfKnownPolygons) {
   EXPECT_DOUBLE_EQ(s.mean_vertices, 4.0);
   EXPECT_EQ(s.total_vertices, 8);
   EXPECT_EQ(ds.Bounds(), geom::Box(0, 0, 6, 6));
+}
+
+// Copy-on-write content: a snapshot (or a dataset copy) taken before an
+// Add keeps its old polygons and extent; moves carry content, name and
+// extent along.
+TEST(DatasetTest, SnapshotKeepsContentAcrossLaterAdds) {
+  Dataset ds("cow");
+  ds.Add(geom::Polygon({{0, 0}, {1, 0}, {0, 1}}));
+  const DatasetSnapshot before = ds.snapshot();
+  const Dataset copy = ds;
+  const geom::Polygon& first = before.polygon(0);
+
+  ds.Add(geom::Polygon({{5, 5}, {9, 5}, {9, 9}}));
+  EXPECT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds.Bounds(), geom::Box(0, 0, 9, 9));
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_EQ(&before.polygon(0), &first);
+  EXPECT_EQ(before.Bounds(), geom::Box(0, 0, 1, 1));
+  EXPECT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy.Bounds(), geom::Box(0, 0, 1, 1));
+  EXPECT_EQ(ds.snapshot().size(), 2u);
+
+  Dataset moved = std::move(ds);
+  Dataset assigned("other");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(assigned.name(), "cow");
+  EXPECT_EQ(assigned.Bounds(), geom::Box(0, 0, 9, 9));
 }
 
 TEST(DatasetTest, RTreeMatchesContents) {

@@ -2,14 +2,12 @@
 // Hilbert index properties, golden cell classification on hand-checkable
 // grids, degenerate-object all-PARTIAL behaviour (and the matching
 // RasterSignature guard), budget/fault degradation to unapproximated,
-// epoch-keyed cache invalidation — including the reload-then-query
-// regression for in-place dataset reloads — and the paranoid oracle over
-// the interval filter's accept and reject sides.
+// config-keyed cache reuse, and the paranoid oracle over the interval
+// filter's accept and reject sides.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,9 +17,6 @@
 #include "common/fault.h"
 #include "common/status.h"
 #include "core/paranoid.h"
-#include "core/selection.h"
-#include "data/dataset.h"
-#include "data/io.h"
 #include "filter/interval_approx.h"
 #include "filter/raster_signature.h"
 #include "filter/signature_cache.h"
@@ -276,97 +271,52 @@ TEST(IntervalApproxTest, DatasetLoadFaultDegradesOnlyTheFaultedObject) {
   EXPECT_EQ(faults.fired(FaultSite::kDatasetLoad), 1);
 }
 
-TEST(IntervalApproxTest, CacheReusesSnapshotUntilEpochOrConfigChanges) {
+TEST(IntervalApproxTest, CacheReusesSnapshotUntilConfigChanges) {
   const geom::Box frame(0, 0, 8, 8);
   const std::vector<geom::Polygon> polygons = {BoxPolygon(1, 1, 7, 7)};
-  IntervalApproxCache cache;
+  const IntervalApproxCache cache(polygons, frame);
   IntervalApproxConfig config;
   config.grid_bits = 3;
-  const auto first = cache.Acquire(polygons, frame, /*epoch=*/1, config);
+  const auto first = cache.Acquire(config);
   ASSERT_TRUE(first.ok());
-  const auto again = cache.Acquire(polygons, frame, /*epoch=*/1, config);
+  const auto again = cache.Acquire(config);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(first.value().get(), again.value().get());
+  EXPECT_EQ(first.value()->frame(), frame);
+  EXPECT_EQ(first.value()->size(), polygons.size());
 
-  const auto reloaded = cache.Acquire(polygons, frame, /*epoch=*/2, config);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_NE(first.value().get(), reloaded.value().get());
+  config.memory_budget_bytes /= 2;
+  const auto rebudgeted = cache.Acquire(config);
+  ASSERT_TRUE(rebudgeted.ok());
+  EXPECT_NE(first.value().get(), rebudgeted.value().get());
 
   config.grid_bits = 4;
-  const auto regridded = cache.Acquire(polygons, frame, /*epoch=*/2, config);
+  const auto regridded = cache.Acquire(config);
   ASSERT_TRUE(regridded.ok());
-  EXPECT_NE(reloaded.value().get(), regridded.value().get());
+  EXPECT_NE(rebudgeted.value().get(), regridded.value().get());
   EXPECT_EQ(regridded.value()->grid_bits(), 4);
+  // A snapshot acquired before the grid change keeps its own build.
+  EXPECT_EQ(first.value()->grid_bits(), 3);
 }
 
-TEST(SignatureCacheTest, EpochBumpInstallsFreshSlots) {
-  // Same id, same grid, different epoch: the snapshot must rebuild from the
-  // new polygon instead of serving the pre-reload signature.
-  const geom::Polygon before = BoxPolygon(0, 0, 1, 1);
-  const geom::Polygon after = BoxPolygon(5, 5, 6, 6);
-  filter::SignatureCache cache;
-  const auto s1 = cache.Acquire(8, 1, /*epoch=*/1);
-  EXPECT_EQ(s1.Get(0, before).bounds(), before.Bounds());
-  const auto s2 = cache.Acquire(8, 1, /*epoch=*/2);
-  EXPECT_EQ(s2.Get(0, after).bounds(), after.Bounds());
-  // The pinned pre-reload snapshot still serves its own build.
-  EXPECT_EQ(s1.Get(0, before).bounds(), before.Bounds());
-}
+TEST(SignatureCacheTest, GridChangeInstallsFreshSlots) {
+  const std::vector<geom::Polygon> polygons = {BoxPolygon(0, 0, 1, 1),
+                                               BoxPolygon(5, 5, 6, 6)};
+  const filter::SignatureCache cache(polygons);
+  const auto s1 = cache.Acquire(8);
+  const filter::RasterSignature& built = s1.Get(1);
+  EXPECT_EQ(built.bounds(), polygons[1].Bounds());
+  EXPECT_EQ(built.grid_size(), 8);
+  // Same grid: the live slot array, and the signature in it, are reused.
+  EXPECT_EQ(&cache.Acquire(8).Get(1), &built);
 
-TEST(IntervalApproxTest, ReloadInPlaceInvalidatesFilterState) {
-  // Regression for the stale-snapshot bug: reload a dataset in place with a
-  // same-MBR, different-geometry polygon (so the construction-time R-tree
-  // stays valid) and re-run a selection whose raster and interval filters
-  // were both warmed on the old geometry. Stale snapshots would keep
-  // answering for the old square; the epoch key forces a rebuild.
-  data::Dataset ds("reload");
-  ds.Add(BoxPolygon(2, 2, 6, 6));
-
-  data::Dataset replacement("replacement");
-  // Triangle with the same [2,6]^2 MBR but empty below x + y = 8.
-  replacement.Add(geom::Polygon({{6, 2}, {6, 6}, {2, 6}}));
-  const std::string path =
-      ::testing::TempDir() + "interval_reload.wkt";
-  ASSERT_TRUE(data::SaveDataset(replacement, path).ok());
-
-  const geom::Polygon query = BoxPolygon(2.1, 2.1, 2.9, 2.9);
-  ASSERT_TRUE(algo::PolygonsIntersect(ds.polygon(0), query));
-  ASSERT_FALSE(algo::PolygonsIntersect(replacement.polygon(0), query));
-
-  const core::IntersectionSelection selection(ds);
-  core::SelectionOptions options;
-  options.raster_filter_grid = 8;
-  options.hw.use_intervals = true;
-  options.hw.interval_grid_bits = 5;
-  const core::SelectionResult warm = selection.Run(query, options);
-  ASSERT_TRUE(warm.status.ok());
-  EXPECT_EQ(warm.ids, std::vector<int64_t>{0});
-
-  ASSERT_TRUE(data::ReloadDatasetInPlace(path, &ds).ok());
-  ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds.name(), "reload");  // reload keeps the identity
-
-  const core::SelectionResult reloaded = selection.Run(query, options);
-  ASSERT_TRUE(reloaded.status.ok());
-  EXPECT_TRUE(reloaded.ids.empty());
-
-  // And a selection built fresh on the reloaded dataset agrees.
-  const core::IntersectionSelection fresh(ds);
-  const core::SelectionResult baseline = fresh.Run(query, options);
-  ASSERT_TRUE(baseline.status.ok());
-  EXPECT_EQ(baseline.ids, reloaded.ids);
-  std::remove(path.c_str());
-}
-
-TEST(IntervalApproxTest, ReloadInPlaceIsAllOrNothing) {
-  data::Dataset ds("keep");
-  ds.Add(BoxPolygon(0, 0, 1, 1));
-  const uint64_t epoch_before = ds.epoch();
-  const Status missing = data::ReloadDatasetInPlace(
-      ::testing::TempDir() + "interval_reload_missing.wkt", &ds);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds.epoch(), epoch_before);  // untouched on failure
+  const auto s2 = cache.Acquire(16);
+  EXPECT_EQ(s2.grid(), 16);
+  EXPECT_EQ(s2.Get(1).grid_size(), 16);
+  EXPECT_NE(&s2.Get(1), &built);
+  // The snapshot pinned before the grid change still serves its own build.
+  EXPECT_EQ(s1.grid(), 8);
+  EXPECT_EQ(&s1.Get(1), &built);
 }
 
 TEST(IntervalApproxTest, ClippedQueriesOutsideTheFrameStaySound) {
