@@ -26,9 +26,9 @@ DistanceJoinResult WithinDistanceJoin::Run(
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;
-            return AcquireJoinIntervals(interval_cache_a_, interval_cache_b_,
-                                        options.hw, options.num_threads,
-                                        &stages);
+            return AttachIntervals(
+                &interval_cache_a_, &interval_cache_b_, nullptr,
+                IntervalConfigFrom(options.hw, options.num_threads), &stages);
           },
           [&](const std::pair<int64_t, int64_t>& c) {
             return PolygonPair{&a_.polygon(static_cast<size_t>(c.first)),

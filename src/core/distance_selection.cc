@@ -20,9 +20,9 @@ DistanceSelectionResult WithinDistanceSelection::Run(
           [&](FilterStages& stages) {
             stages.zero_object = options.use_zero_object_filter;
             stages.one_object = options.use_one_object_filter;
-            return AcquireSelectionIntervals(interval_cache_, query,
-                                             options.hw, options.num_threads,
-                                             &stages);
+            return AttachIntervals(
+                &interval_cache_, nullptr, &query,
+                IntervalConfigFrom(options.hw, options.num_threads), &stages);
           },
           [&](int64_t id) {
             return PolygonPair{&data_.polygon(static_cast<size_t>(id)), &query};

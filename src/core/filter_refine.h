@@ -27,7 +27,6 @@
 #include "filter/object_filters.h"
 #include "filter/raster_signature.h"
 #include "filter/signature_cache.h"
-#include "filter/slot_interval_grid.h"
 #include "geom/polygon.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
@@ -93,30 +92,23 @@ struct FilterRefineOutcome {
 };
 
 // One side of a pairwise filter, looked up per candidate id: a per-object
-// cache (static dataset approximation, snapshot slot grid, or signature
-// cache) or one fixed value — the query object's — shared by every
-// candidate.
+// store (interval store or signature cache) or one fixed value — the query
+// object's — shared by every candidate.
 class IntervalSide {
  public:
-  void Use(std::shared_ptr<const filter::IntervalApprox> approx) {
-    approx_ = std::move(approx);
+  void Use(std::shared_ptr<const filter::IntervalApprox> store) {
+    store_ = std::move(store);
   }
-  void Use(const filter::SlotIntervalGrid* grid) { grid_ = grid; }
   void Fix(filter::ObjectIntervals query) { fixed_ = std::move(query); }
-  bool active() const {
-    return approx_ != nullptr || grid_ != nullptr || fixed_.has_value();
-  }
+  bool active() const { return store_ != nullptr || fixed_.has_value(); }
   const filter::ObjectIntervals& Get(int64_t id,
                                      const geom::Polygon& polygon) const {
-    if (approx_ != nullptr) return approx_->object(static_cast<size_t>(id));
-    if (grid_ != nullptr) return grid_->Get(id, polygon);
-    return *fixed_;
+    return store_ != nullptr ? store_->Get(id, polygon) : *fixed_;
   }
 
  private:
-  std::shared_ptr<const filter::IntervalApprox> approx_;  // static dataset
-  const filter::SlotIntervalGrid* grid_ = nullptr;        // snapshot store
-  std::optional<filter::ObjectIntervals> fixed_;          // query object
+  std::shared_ptr<const filter::IntervalApprox> store_;
+  std::optional<filter::ObjectIntervals> fixed_;  // query object
 };
 
 class RasterSide {

@@ -69,10 +69,13 @@ struct HwConfig {
   // Pairs per atlas pass; 1024 tiles of 8x8 are a 256x256 framebuffer.
   int batch_size = 1024;
   // Raster-interval secondary filter (filter/interval_approx, DESIGN.md
-  // §12): approximate every dataset object as sorted Hilbert-cell interval
-  // lists once per pipeline and grid, then decide candidate pairs before
-  // refinement — TRUE-HIT pairs skip the hardware testers entirely,
-  // TRUE-MISS pairs are dropped, only INCONCLUSIVE pairs are refined.
+  // §12): decide candidate pairs from each object's sorted Hilbert-cell
+  // interval lists before refinement — TRUE-HIT pairs skip the hardware
+  // testers entirely, TRUE-MISS pairs are dropped, only INCONCLUSIVE pairs
+  // are refined. A static pipeline builds its store once per grid and
+  // budget from these knobs. A snapshot form reads the lazily filled
+  // stores in SnapshotQueryOptions, built with their own config, and its
+  // degradation ladder sets this flag, at level L3 only.
   bool use_intervals = false;
   // Interval grid is 2^interval_grid_bits cells per side (1..12).
   int interval_grid_bits = 10;

@@ -1,8 +1,11 @@
 #ifndef HASJ_CORE_INTERVAL_STAGE_H_
 #define HASJ_CORE_INTERVAL_STAGE_H_
 
+#include <memory>
+#include <type_traits>
 #include <utility>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "core/filter_refine.h"
 #include "core/hw_config.h"
@@ -38,36 +41,44 @@ inline geom::Box JoinFrame(const data::DatasetSnapshot& a,
   return frame;
 }
 
-// The static selections' interval stage (DESIGN.md §12): the dataset
-// approximation, built once per (grid, budget) and shared across queries,
-// against the query object approximated on the same grid. No-op unless
-// FilterRefine asked for intervals.
-inline Status AcquireSelectionIntervals(
-    const filter::IntervalApproxCache& cache, const geom::Polygon& query,
-    const HwConfig& hw, int num_threads, FilterStages* stages) {
-  if (!stages->use_intervals) return Status::Ok();
-  auto acquired = cache.Acquire(IntervalConfigFrom(hw, num_threads));
-  if (!acquired.ok()) return acquired.status();
-  stages->intervals_b.Fix((*acquired)->ApproximateObject(query));
-  stages->intervals_a.Use(std::move(acquired).value());
-  return Status::Ok();
-}
-
-// The static joins' interval stage: both sides' caches are bound to the
-// JoinFrame of their inputs.
-inline Status AcquireJoinIntervals(const filter::IntervalApproxCache& cache_a,
-                                   const filter::IntervalApproxCache& cache_b,
-                                   const HwConfig& hw, int num_threads,
-                                   FilterStages* stages) {
-  if (!stages->use_intervals) return Status::Ok();
-  const filter::IntervalApproxConfig config =
-      IntervalConfigFrom(hw, num_threads);
-  auto acquired_a = cache_a.Acquire(config);
-  auto acquired_b = cache_b.Acquire(config);
-  if (!acquired_a.ok()) return acquired_a.status();
-  if (!acquired_b.ok()) return acquired_b.status();
-  stages->intervals_a.Use(std::move(acquired_a).value());
-  stages->intervals_b.Use(std::move(acquired_b).value());
+// The interval stage of all eight query forms (DESIGN.md §12), attached
+// only when FilterRefine asked for intervals. Side A reads `a`'s slots.
+// Side B reads `b`'s (a join's other side) or, for a selection (`query`
+// set, `b` null), the query object approximated on a's grid. A source is a
+// static pipeline's cache, built at the query's `config`, or a mutable
+// store's lazy IntervalApprox, borrowed for the query; a null one leaves
+// the filter off. A join compares the two stores' Hilbert indices
+// directly, so stores that disagree on frame or grid bits are a
+// kInvalidArgument, never a silently wrong answer.
+template <typename Source>
+Status AttachIntervals(const Source* a, const std::type_identity_t<Source>* b,
+                       const geom::Polygon* query,
+                       const filter::IntervalApproxConfig& config,
+                       FilterStages* stages) {
+  using Store = std::shared_ptr<const filter::IntervalApprox>;
+  if (!stages->use_intervals || a == nullptr ||
+      (query == nullptr && b == nullptr)) {
+    return Status::Ok();
+  }
+  const auto pin = [&config](const Source& source) -> Result<Store> {
+    if constexpr (std::is_same_v<Source, filter::IntervalApprox>) {
+      return Store(Store(), &source);  // non-owning
+    } else {
+      return source.Acquire(config);
+    }
+  };
+  HASJ_ASSIGN_OR_RETURN(Store store_a, pin(*a));
+  if (query != nullptr) {
+    stages->intervals_b.Fix(store_a->ApproximateObject(*query));
+  } else {
+    HASJ_ASSIGN_OR_RETURN(Store store_b, pin(*b));
+    if (!store_a->SameGrid(*store_b)) {
+      return Status::InvalidArgument(
+          "joined interval stores disagree on frame or grid bits");
+    }
+    stages->intervals_b.Use(std::move(store_b));
+  }
+  stages->intervals_a.Use(std::move(store_a));
   return Status::Ok();
 }
 

@@ -24,9 +24,10 @@ JoinResult IntersectionJoin::Run(const JoinOptions& options) const {
           PipelineSpec("join", options),
           [&] { return index::JoinIntersects(rtree_a_, rtree_b_); },
           [&](FilterStages& stages) {
-            if (Status s = AcquireJoinIntervals(
-                    interval_cache_a_, interval_cache_b_, options.hw,
-                    options.num_threads, &stages);
+            if (Status s = AttachIntervals(
+                    &interval_cache_a_, &interval_cache_b_, nullptr,
+                    IntervalConfigFrom(options.hw, options.num_threads),
+                    &stages);
                 !s.ok()) {
               return s;
             }

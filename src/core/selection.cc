@@ -29,9 +29,9 @@ SelectionResult IntersectionSelection::Run(
               stages.raster_b.Fix(
                   filter::RasterSignature(query, options.raster_filter_grid));
             }
-            return AcquireSelectionIntervals(interval_cache_, query,
-                                             options.hw, options.num_threads,
-                                             &stages);
+            return AttachIntervals(
+                &interval_cache_, nullptr, &query,
+                IntervalConfigFrom(options.hw, options.num_threads), &stages);
           },
           [&](int64_t id) {
             return PolygonPair{&data_.polygon(static_cast<size_t>(id)), &query};

@@ -57,12 +57,14 @@ Status QueryServer::Start() {
     return Status::InvalidArgument(
         "degradation watermarks must be non-decreasing");
   }
-  // An L3 query indexes the grids by store id, so each must cover them all.
-  for (const filter::SlotIntervalGrid* grid :
-       {config_.options.intervals, config_.options.intervals_b}) {
-    if (grid != nullptr && grid->capacity() < store_->capacity()) {
+  // An L3 query indexes the interval stores by store id, so each must
+  // cover them all, and a self-join compares the two stores' cells.
+  const filter::IntervalApprox* const a = config_.options.intervals;
+  for (const filter::IntervalApprox* b : {a, config_.options.intervals_b}) {
+    if (b != nullptr && (b->size() < store_->capacity() ||
+                         (a != nullptr && !a->SameGrid(*b)))) {
       return Status::InvalidArgument(
-          "slot interval grid capacity is below the store capacity");
+          "interval stores must cover the store on one frame and grid");
     }
   }
   MutexLock lock(&mu_);

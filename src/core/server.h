@@ -13,7 +13,7 @@
 #include "common/thread_annotations.h"
 #include "core/snapshot_query.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/polygon.h"
 #include "obs/metrics.h"
 
@@ -73,7 +73,9 @@ struct ServerConfig {
   double l2_watermark = 0.75;
   double l3_watermark = 0.9;
   // Base execution options; the server overrides degrade/deadline/cancel
-  // per query.
+  // per query. L3 queries consult options.intervals/intervals_b: each
+  // store needs a slot per store id, and both must share frame and grid
+  // bits (Start checks both).
   SnapshotQueryOptions options;
   // Re-run every verify_every-th completed query against the serial oracle
   // on its pinned snapshot (0 = never). A mismatch bumps
@@ -99,8 +101,9 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   // Spawns the workers. kFailedPrecondition-free: Ok, or kInvalidArgument
-  // for a bad config (including a slot interval grid with a smaller
-  // capacity than the store), or kUnavailable if already started.
+  // for a bad config (including an interval store with fewer slots than
+  // the store's capacity, or two interval stores that disagree on frame or
+  // grid bits), or kUnavailable if already started.
   [[nodiscard]] Status Start() HASJ_EXCLUDES(mu_);
 
   // Stops accepting queries, fails every still-queued query with

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/filter_refine.h"
+#include "core/interval_stage.h"
 #include "filter/interval_approx.h"
 #include "geom/box.h"
 #include "index/dynamic_rtree.h"
@@ -28,22 +29,6 @@ FilterRefineSpec SnapshotSpec(const char* kind,
           .sw_intersect = options.sw_intersect,
           .sw_distance = options.sw_distance,
           .timed = false};
-}
-
-// Attaches the slot grids the ladder consults (the query object is
-// approximated on the selection grid); null grids leave intervals off.
-Status UseGrids(const SnapshotQueryOptions& options, const geom::Polygon* query,
-                FilterStages* stages) {
-  if (!stages->use_intervals || options.intervals == nullptr) {
-    return Status::Ok();
-  }
-  stages->intervals_a.Use(options.intervals);
-  if (query != nullptr) {
-    stages->intervals_b.Fix(options.intervals->Approximate(*query));
-  } else {
-    stages->intervals_b.Use(options.intervals_b);
-  }
-  return Status::Ok();
 }
 
 // An oracle's exact verdict: the software predicate behind the sound MBR
@@ -104,7 +89,10 @@ SnapshotQueryResult SnapshotSelection(const VersionedDataset::Snapshot& snap,
   return Publish<SnapshotQueryResult>(FilterRefine<int64_t>(
       SnapshotSpec("selection", options),
       [&] { return snap.QueryIntersects(query.Bounds()); },
-      [&](FilterStages& stages) { return UseGrids(options, &query, &stages); },
+      [&](FilterStages& stages) {
+        return AttachIntervals(options.intervals, nullptr, &query, {},
+                               &stages);
+      },
       [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; }));
 }
 
@@ -114,7 +102,10 @@ SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& a,
   return Publish<SnapshotQueryResult>(FilterRefine<Pair>(
       SnapshotSpec("join", options),
       [&] { return index::JoinIntersects(a.index(), b.index()); },
-      [&](FilterStages& stages) { return UseGrids(options, nullptr, &stages); },
+      [&](FilterStages& stages) {
+        return AttachIntervals(options.intervals, options.intervals_b, nullptr,
+                               {}, &stages);
+      },
       [&](const Pair& c) {
         return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
       }));
@@ -126,7 +117,10 @@ SnapshotQueryResult SnapshotDistanceSelection(
   return Publish<SnapshotQueryResult>(FilterRefine<int64_t>(
       SnapshotSpec("distance_selection", options, true, d),
       [&] { return snap.QueryWithinDistance(query.Bounds(), d); },
-      [&](FilterStages& stages) { return UseGrids(options, &query, &stages); },
+      [&](FilterStages& stages) {
+        return AttachIntervals(options.intervals, nullptr, &query, {},
+                               &stages);
+      },
       [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; }));
 }
 
@@ -137,7 +131,10 @@ SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& a,
   return Publish<SnapshotQueryResult>(FilterRefine<Pair>(
       SnapshotSpec("distance_join", options, true, d),
       [&] { return index::JoinWithinDistance(a.index(), b.index(), d); },
-      [&](FilterStages& stages) { return UseGrids(options, nullptr, &stages); },
+      [&](FilterStages& stages) {
+        return AttachIntervals(options.intervals, options.intervals_b, nullptr,
+                               {}, &stages);
+      },
       [&](const Pair& c) {
         return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
       }));

@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "core/hw_config.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/polygon.h"
 
 namespace hasj::core {
@@ -30,13 +30,14 @@ enum class DegradeLevel {
   // hardware step; the conservative filter simply decides fewer pairs.
   kLowRes = 2,
   // L3: also bypass the hardware testers entirely — interval pre-decision
-  // (when a grid is attached) plus exact software refinement.
+  // (when a store is attached) plus exact software refinement.
   kIntervalsOnly = 3,
 };
 
 // The hardware config a query actually runs with at `level`: use_intervals
-// is set exactly at kIntervalsOnly, the only rung that consults the slot
-// grids. Split out so tests can assert the ladder deterministically.
+// is set exactly at kIntervalsOnly, the only rung that consults the
+// interval stores. Split out so tests can assert the ladder
+// deterministically.
 HwConfig DegradedHwConfig(const HwConfig& hw, bool use_hw, DegradeLevel level);
 
 struct SnapshotQueryOptions {
@@ -47,12 +48,14 @@ struct SnapshotQueryOptions {
   algo::SoftwareIntersectOptions sw_intersect;
   algo::DistanceOptions sw_distance;
   DegradeLevel degrade = DegradeLevel::kNone;
-  // Per-store slot interval grids, consulted at kIntervalsOnly only (may be
-  // null: refinement is pure software then). `intervals` serves the
+  // Per-store interval stores (filter::LazyIntervalApprox, one slot per
+  // store id, filled on first use), consulted at kIntervalsOnly only (may
+  // be null: refinement is pure software then). `intervals` serves the
   // selection snapshot / join side A; `intervals_b` join side B. A
-  // self-join passes the same grid twice.
-  const filter::SlotIntervalGrid* intervals = nullptr;
-  const filter::SlotIntervalGrid* intervals_b = nullptr;
+  // self-join passes the same store twice. A join whose two stores
+  // disagree on frame or grid bits fails with kInvalidArgument.
+  const filter::IntervalApprox* intervals = nullptr;
+  const filter::IntervalApprox* intervals_b = nullptr;
 };
 
 struct SnapshotQueryResult {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "algo/point_in_polygon.h"
+#include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "geom/point.h"
@@ -81,7 +82,8 @@ void AppendCell(std::vector<CellInterval>& list, uint32_t h) {
 // Rasterizes one polygon onto the global grid and compresses the marked
 // cells into Hilbert-interval lists. Returns approximated == false (an
 // empty, always-inconclusive approximation) when the object exceeds the
-// scratch cap or its interval lists exceed `max_bytes`.
+// scratch cap or its interval lists exceed `max_bytes`, and for every
+// object on a degenerate (zero-area) frame, which has no cells.
 //
 // Cell classification is honest in both directions (the header explains why
 // HIT soundness needs more than superset-conservative marking):
@@ -94,10 +96,14 @@ void AppendCell(std::vector<CellInterval>& list, uint32_t h) {
 //     decides the whole run. Degenerate polygons (fewer than 3 vertices or
 //     zero area) have no interior and never produce FULL cells.
 ObjectIntervals BuildObjectIntervals(const geom::Polygon& polygon,
-                                     const GridFrame& gf, int grid_bits,
+                                     const geom::Box& frame, int grid_bits,
                                      int64_t max_bytes) {
   ObjectIntervals out;
-  if (polygon.size() == 0) return out;
+  if (polygon.size() == 0 || frame.IsEmpty() || frame.Width() <= 0.0 ||
+      frame.Height() <= 0.0) {
+    return out;
+  }
+  const GridFrame gf = MakeGridFrame(frame, grid_bits);
   const geom::Box& mbr = polygon.Bounds();
   const auto [cx0, cx1] =
       CellRange(gf.GridX(mbr.min_x), gf.GridX(mbr.max_x), gf.n);
@@ -192,6 +198,10 @@ bool IntervalsOverlap(const std::vector<CellInterval>& a,
   return false;
 }
 
+int64_t IntervalCount(const ObjectIntervals& obj) {
+  return static_cast<int64_t>(obj.all.size() + obj.full.size());
+}
+
 }  // namespace
 
 uint32_t HilbertIndex(int bits, uint32_t x, uint32_t y) {
@@ -223,53 +233,69 @@ IntervalVerdict DecidePair(const ObjectIntervals& a,
 
 ObjectIntervals IntervalApprox::ApproximateObject(
     const geom::Polygon& polygon) const {
-  if (frame_.IsEmpty() || frame_.Width() <= 0.0 || frame_.Height() <= 0.0) {
-    return {};
-  }
   // No byte budget for ad-hoc query objects: there is exactly one per
   // query, and the scratch cap inside BuildObjectIntervals still bounds it.
-  return BuildObjectIntervals(polygon, MakeGridFrame(frame_, grid_bits_),
-                              grid_bits_, std::numeric_limits<int64_t>::max());
+  return BuildObjectIntervals(polygon, frame_, grid_bits_,
+                              std::numeric_limits<int64_t>::max());
 }
 
-Result<IntervalApprox> BuildIntervalApprox(
-    std::span<const geom::Polygon> polygons, const geom::Box& frame,
-    const IntervalApproxConfig& config) {
+const ObjectIntervals& IntervalApprox::Get(int64_t id,
+                                           const geom::Polygon& polygon) const {
+  HASJ_CHECK(id >= 0 && static_cast<size_t>(id) < size());
+  ObjectIntervals& slot = objects_[static_cast<size_t>(id)];
+  if (unfilled_ == nullptr) return slot;
+  std::call_once(unfilled_[static_cast<size_t>(id)], [&] {
+    if (faults_ == nullptr || faults_->Check(FaultSite::kDatasetLoad).ok()) {
+      slot = BuildObjectIntervals(polygon, frame_, grid_bits_, share_);
+    }  // else degrade to unapproximated, never fail the build
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter(obs::kIntervalObjects).Add(1);
+      metrics_->GetCounter(obs::kIntervalUnapproximated)
+          .Add(slot.approximated ? 0 : 1);
+      metrics_->GetCounter(obs::kIntervalIntervals).Add(IntervalCount(slot));
+    }
+  });
+  return slot;
+}
+
+Result<IntervalApprox> LazyIntervalApprox(const geom::Box& frame,
+                                          size_t capacity,
+                                          const IntervalApproxConfig& config) {
   if (config.grid_bits < 1 || config.grid_bits > kMaxGridBits) {
     return Status::InvalidArgument("interval grid_bits must be in [1, 12]");
   }
   if (config.memory_budget_bytes < 0) {
     return Status::InvalidArgument("interval memory budget must be >= 0");
   }
-  Stopwatch watch;
-  obs::ManualSpan span;
-  span.Start(config.trace, "interval-build", "filter");
   IntervalApprox approx;
   approx.grid_bits_ = config.grid_bits;
   approx.frame_ = frame;
-  approx.objects_.resize(polygons.size());
-  approx.stats_.objects = static_cast<int64_t>(polygons.size());
-  const bool frame_ok =
-      !frame.IsEmpty() && frame.Width() > 0.0 && frame.Height() > 0.0;
-  if (frame_ok && !polygons.empty()) {
-    const GridFrame gf = MakeGridFrame(frame, config.grid_bits);
-    const int64_t share = std::max<int64_t>(
-        256,
-        config.memory_budget_bytes / static_cast<int64_t>(polygons.size()));
+  approx.share_ = std::max<int64_t>(
+      256, config.memory_budget_bytes /
+               std::max<int64_t>(1, static_cast<int64_t>(capacity)));
+  approx.faults_ = config.faults;
+  approx.metrics_ = config.metrics;
+  approx.objects_.resize(capacity);
+  approx.unfilled_ = std::make_unique<std::once_flag[]>(capacity);
+  return approx;
+}
+
+Result<IntervalApprox> BuildIntervalApprox(
+    std::span<const geom::Polygon> polygons, const geom::Box& frame,
+    const IntervalApproxConfig& config) {
+  // A lazy store with every slot read once, then sealed.
+  HASJ_ASSIGN_OR_RETURN(IntervalApprox approx,
+                        LazyIntervalApprox(frame, polygons.size(), config));
+  Stopwatch watch;
+  obs::ManualSpan span;
+  span.Start(config.trace, "interval-build", "filter");
+  if (!polygons.empty()) {
     ThreadPool pool(config.num_threads);
-    std::vector<ObjectIntervals>* objects = &approx.objects_;
     const Status built = pool.ParallelFor(
         static_cast<int64_t>(polygons.size()), /*grain=*/16,
-        [&polygons, &gf, &config, share, objects](int64_t begin, int64_t end,
-                                                  int /*worker*/) {
+        [&polygons, &approx](int64_t begin, int64_t end, int /*worker*/) {
           for (int64_t id = begin; id < end; ++id) {
-            if (config.faults != nullptr &&
-                !config.faults->Check(FaultSite::kDatasetLoad).ok()) {
-              continue;  // degrade to unapproximated, never fail the build
-            }
-            (*objects)[static_cast<size_t>(id)] = BuildObjectIntervals(
-                polygons[static_cast<size_t>(id)], gf, config.grid_bits,
-                share);
+            approx.Get(id, polygons[static_cast<size_t>(id)]);
           }
         });
     if (!built.ok()) {
@@ -277,21 +303,18 @@ Result<IntervalApprox> BuildIntervalApprox(
       return built;
     }
   }
+  approx.unfilled_.reset();
+  approx.faults_ = nullptr;
+  approx.metrics_ = nullptr;
+  approx.stats_.objects = static_cast<int64_t>(polygons.size());
   for (const ObjectIntervals& obj : approx.objects_) {
     if (!obj.approximated) ++approx.stats_.unapproximated;
-    approx.stats_.interval_count +=
-        static_cast<int64_t>(obj.all.size() + obj.full.size());
+    approx.stats_.interval_count += IntervalCount(obj);
   }
   approx.stats_.build_ms = watch.ElapsedMillis();
   span.End();
   if (config.metrics != nullptr) {
     config.metrics->GetGauge(obs::kIntervalBuildMs).Add(approx.stats_.build_ms);
-    config.metrics->GetCounter(obs::kIntervalObjects)
-        .Add(approx.stats_.objects);
-    config.metrics->GetCounter(obs::kIntervalUnapproximated)
-        .Add(approx.stats_.unapproximated);
-    config.metrics->GetCounter(obs::kIntervalIntervals)
-        .Add(approx.stats_.interval_count);
   }
   return approx;
 }

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+// lint:allow(naked-mutex): once_flag/call_once only, per-slot one-time fill
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -17,9 +19,9 @@
 
 namespace hasj::filter {
 
-// Dataset-level raster-interval object approximation (DESIGN.md §12).
+// Per-object raster-interval approximation (DESIGN.md §12).
 //
-// Each object is rasterized once, at load time, onto a global
+// Each object is rasterized once, at load or on first use, onto a global
 // 2^grid_bits × 2^grid_bits grid covering the dataset frame. Cells are
 // classified PARTIAL (the cell's closed box touches the polygon boundary)
 // or FULL (the cell's closed box lies entirely inside the polygon), mapped
@@ -82,15 +84,17 @@ struct IntervalApproxConfig {
   // uint32 and a full-height object window stays within the glsim
   // rasterizer's RowSpans::kMaxRows scratch rows.
   int grid_bits = 10;
-  // Whole-dataset budget; each object gets an equal byte share and objects
-  // whose interval lists exceed it stay unapproximated.
+  // Whole-store budget; each slot gets max(256, budget / slots) bytes and
+  // objects whose interval lists exceed it stay unapproximated.
   int64_t memory_budget_bytes = 64 << 20;
-  // Degree of build parallelism (ThreadPool::ResolveThreadCount semantics:
-  // <= 0 means hardware concurrency, 1 means inline).
+  // Degree of bulk-build parallelism (ThreadPool::ResolveThreadCount
+  // semantics: <= 0 means hardware concurrency, 1 means inline).
   int num_threads = 1;
   // Optional instrumentation; all may be null. Faults are checked once per
-  // object at FaultSite::kDatasetLoad; a faulted object degrades to
-  // unapproximated instead of failing the build.
+  // slot fill at FaultSite::kDatasetLoad; a faulted object degrades to
+  // unapproximated instead of failing the build. Each fill is counted in
+  // the metrics as it happens; only the bulk build records a span and a
+  // build_ms gauge. Faults and metrics must outlive a lazy store.
   FaultInjector* faults = nullptr;
   obs::TraceSession* trace = nullptr;
   obs::Registry* metrics = nullptr;
@@ -103,19 +107,32 @@ struct IntervalBuildStats {
   double build_ms = 0.0;
 };
 
-// Immutable per-dataset approximation: one ObjectIntervals per input
-// polygon, in input order, plus the frame/grid needed to approximate query
-// objects against the same cells.
+// The per-object interval store: a frame, a grid, and one slot per object
+// id, each filled at most once. BuildIntervalApprox fills every slot up
+// front; a LazyIntervalApprox store fills a slot on its first Get, which
+// suits a mutable store: its slots are write-once and ids never reused, so
+// a filled slot never goes stale. Thread-safe for any number of readers.
 class IntervalApprox {
  public:
   int grid_bits() const { return grid_bits_; }
   const geom::Box& frame() const { return frame_; }
   size_t size() const { return objects_.size(); }
+  // Slot `id` of a bulk-built store, in input order.
   const ObjectIntervals& object(size_t id) const { return objects_[id]; }
+  // Slot `id` (0 <= id < size(), checked), filled from `polygon` — object
+  // id's geometry, the same object on every call — on first use.
+  const ObjectIntervals& Get(int64_t id, const geom::Polygon& polygon) const;
+  // The bulk build's totals (a lazy store's stay zero).
   const IntervalBuildStats& stats() const { return stats_; }
 
+  // Same frame and grid: the two stores' Hilbert indices name the same
+  // cells, so their lists can meet in DecidePair.
+  bool SameGrid(const IntervalApprox& other) const {
+    return grid_bits_ == other.grid_bits_ && frame_ == other.frame_;
+  }
+
   // Approximates an ad-hoc (query) object against this grid. The window is
-  // clipped to the frame, which is sound: every dataset object lies inside
+  // clipped to the frame, which is sound: every stored object lies inside
   // the frame, so any intersection point falls in an in-frame cell that
   // both sides cover.
   ObjectIntervals ApproximateObject(const geom::Polygon& polygon) const;
@@ -124,20 +141,38 @@ class IntervalApprox {
   friend Result<IntervalApprox> BuildIntervalApprox(
       std::span<const geom::Polygon> polygons, const geom::Box& frame,
       const IntervalApproxConfig& config);
+  friend Result<IntervalApprox> LazyIntervalApprox(
+      const geom::Box& frame, size_t capacity,
+      const IntervalApproxConfig& config);
 
   int grid_bits_ = 0;
   geom::Box frame_;
-  std::vector<ObjectIntervals> objects_;
+  int64_t share_ = 0;  // per-slot byte share
+  FaultInjector* faults_ = nullptr;
+  obs::Registry* metrics_ = nullptr;
+  // Slot i is written inside unfilled_[i]'s call_once, which sequences the
+  // write before every later reader. A bulk build, having filled every
+  // slot, drops the flags.
+  mutable std::vector<ObjectIntervals> objects_;
+  std::unique_ptr<std::once_flag[]> unfilled_;
   IntervalBuildStats stats_;
 };
 
-// Builds the approximation for a dataset snapshot. Parallelized through the
-// shared ThreadPool; per-object failures degrade to unapproximated, only
-// infrastructure errors (worker exceptions, invalid config) surface as a
-// non-OK status.
+// Builds the store for a dataset snapshot, filling every slot in parallel
+// through the shared ThreadPool. Per-object failures degrade to
+// unapproximated; only infrastructure errors (worker exceptions, invalid
+// config) surface as a non-OK status.
 [[nodiscard]] Result<IntervalApprox> BuildIntervalApprox(
     std::span<const geom::Polygon> polygons, const geom::Box& frame,
     const IntervalApproxConfig& config);
+
+// An empty store of `capacity` slots for a data::VersionedDataset, filled
+// lazily by Get. `frame` must enclose every polygon the store will ever
+// hold; out-of-frame geometry gets kInconclusive-only approximations,
+// never wrong verdicts.
+[[nodiscard]] Result<IntervalApprox> LazyIntervalApprox(
+    const geom::Box& frame, size_t capacity,
+    const IntervalApproxConfig& config = {});
 
 // Per-pipeline build-once cache, mirroring SignatureCache: bound to one
 // polygon set and frame at construction, it builds the approximation on

@@ -24,7 +24,7 @@
 #include "core/snapshot_query.h"
 #include "data/generator.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/box.h"
 #include "geom/polygon.h"
 
@@ -93,7 +93,7 @@ TEST_P(ChaosSnapshotTest, QueriesMatchOracleUnderConcurrentUpdates) {
   data::VersionedDataset store("chaos", capacity);
   ASSERT_TRUE(store.SeedFrom(data::GenerateDataset(ObjectProfile(3))).ok());
 
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), store.capacity(), {.grid_bits = 5});
   ASSERT_TRUE(grid.ok());
 

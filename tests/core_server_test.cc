@@ -17,7 +17,7 @@
 #include "core/snapshot_query.h"
 #include "data/generator.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/box.h"
 #include "geom/polygon.h"
 #include "obs/metrics.h"
@@ -88,13 +88,13 @@ TEST(QueryServerTest, StartValidatesConfig) {
   }
 }
 
-// L3 queries index the slot interval grids by store id, so a grid with a
-// smaller capacity than the store is a config error, caught at Start.
+// L3 queries index the interval stores by store id, so a store with fewer
+// slots than the store's capacity is a config error, caught at Start.
 TEST(QueryServerTest, StartRejectsUndersizedIntervalGrid) {
   const auto store = MakeStore(10, 1);
   const geom::Box frame(0, 0, kExtent, kExtent);
-  auto small = filter::SlotIntervalGrid::Create(frame, store->capacity() - 1);
-  auto fits = filter::SlotIntervalGrid::Create(frame, store->capacity());
+  auto small = filter::LazyIntervalApprox(frame, store->capacity() - 1);
+  auto fits = filter::LazyIntervalApprox(frame, store->capacity());
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(fits.ok());
   {
@@ -117,6 +117,30 @@ TEST(QueryServerTest, StartRejectsUndersizedIntervalGrid) {
     QueryServer server(store.get(), config);
     EXPECT_TRUE(server.Start().ok());
     server.Shutdown();
+  }
+}
+
+// An L3 self-join compares the two interval stores' cells directly, so
+// stores on different grids or frames are a config error, caught at Start.
+TEST(QueryServerTest, StartRejectsMismatchedIntervalStores) {
+  const auto store = MakeStore(10, 1);
+  const geom::Box frame(0, 0, kExtent, kExtent);
+  auto bits6 =
+      filter::LazyIntervalApprox(frame, store->capacity(), {.grid_bits = 6});
+  auto bits5 =
+      filter::LazyIntervalApprox(frame, store->capacity(), {.grid_bits = 5});
+  auto wide = filter::LazyIntervalApprox(
+      geom::Box(0, 0, 2 * kExtent, 2 * kExtent), store->capacity(),
+      {.grid_bits = 6});
+  ASSERT_TRUE(bits6.ok());
+  ASSERT_TRUE(bits5.ok());
+  ASSERT_TRUE(wide.ok());
+  for (const filter::IntervalApprox* other : {&bits5.value(), &wide.value()}) {
+    ServerConfig config;
+    config.options.intervals = &bits6.value();
+    config.options.intervals_b = other;
+    QueryServer server(store.get(), config);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
   }
 }
 

@@ -10,11 +10,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/snapshot_query.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/box.h"
 #include "geom/polygon.h"
 
@@ -66,7 +67,7 @@ class SnapshotQueryLadderTest : public ::testing::TestWithParam<DegradeLevel> {
 
 TEST_P(SnapshotQueryLadderTest, SelectionMatchesOracle) {
   const auto store = MakeStore(120, 7);
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), store->capacity(), {.grid_bits = 6});
   ASSERT_TRUE(grid.ok());
   SnapshotQueryOptions options;
@@ -83,7 +84,7 @@ TEST_P(SnapshotQueryLadderTest, SelectionMatchesOracle) {
 
 TEST_P(SnapshotQueryLadderTest, JoinMatchesOracle) {
   const auto store = MakeStore(90, 11);
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), store->capacity(), {.grid_bits = 6});
   ASSERT_TRUE(grid.ok());
   SnapshotQueryOptions options;
@@ -98,7 +99,7 @@ TEST_P(SnapshotQueryLadderTest, JoinMatchesOracle) {
 
 TEST_P(SnapshotQueryLadderTest, DistanceSelectionMatchesOracle) {
   const auto store = MakeStore(120, 13);
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), store->capacity(), {.grid_bits = 6});
   ASSERT_TRUE(grid.ok());
   SnapshotQueryOptions options;
@@ -116,7 +117,7 @@ TEST_P(SnapshotQueryLadderTest, DistanceSelectionMatchesOracle) {
 
 TEST_P(SnapshotQueryLadderTest, DistanceJoinMatchesOracle) {
   const auto store = MakeStore(70, 17);
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), store->capacity(), {.grid_bits = 6});
   ASSERT_TRUE(grid.ok());
   SnapshotQueryOptions options;
@@ -130,11 +131,11 @@ TEST_P(SnapshotQueryLadderTest, DistanceJoinMatchesOracle) {
   EXPECT_EQ(Sorted(got.pairs), core::OracleDistanceJoin(snap, snap, 4.0));
 }
 
-// A slot grid smaller than its store: an L3 query reaching an id past the
-// grid's capacity must abort on the bounds check, not read past the slots.
+// An interval store smaller than its store: an L3 query reaching an id past
+// the store's slots must abort on the bounds check, not read past them.
 TEST(SnapshotQueryDeathTest, UndersizedIntervalGridAborts) {
   const auto store = MakeStore(40, 19);
-  auto grid = filter::SlotIntervalGrid::Create(
+  auto grid = filter::LazyIntervalApprox(
       geom::Box(0, 0, kExtent, kExtent), 1, {.grid_bits = 6});
   ASSERT_TRUE(grid.ok());
   SnapshotQueryOptions options;
@@ -144,6 +145,46 @@ TEST(SnapshotQueryDeathTest, UndersizedIntervalGridAborts) {
   const geom::Polygon everything = Probe(kExtent / 2, kExtent / 2, kExtent);
   EXPECT_DEATH(core::SnapshotSelection(snap, everything, options),
                "HASJ_CHECK failed: id >= 0");
+}
+
+// A join compares the two sides' Hilbert indices directly, so two interval
+// stores on different grids or frames would decide pairs from unrelated
+// cells. Both join forms must refuse them at L3 rather than answer wrong.
+TEST(SnapshotQueryTest, JoinsRejectMismatchedIntervalStores) {
+  const auto store = MakeStore(90, 11);
+  const geom::Box frame(0, 0, kExtent, kExtent);
+  auto bits6 = filter::LazyIntervalApprox(frame, store->capacity(),
+                                          {.grid_bits = 6});
+  auto bits5 = filter::LazyIntervalApprox(frame, store->capacity(),
+                                          {.grid_bits = 5});
+  auto wide = filter::LazyIntervalApprox(
+      geom::Box(0, 0, 2 * kExtent, 2 * kExtent), store->capacity(),
+      {.grid_bits = 6});
+  ASSERT_TRUE(bits6.ok());
+  ASSERT_TRUE(bits5.ok());
+  ASSERT_TRUE(wide.ok());
+  const data::VersionedDataset::Snapshot snap = store->snapshot();
+  for (const filter::IntervalApprox* other : {&bits5.value(), &wide.value()}) {
+    SnapshotQueryOptions options;
+    options.degrade = DegradeLevel::kIntervalsOnly;
+    options.intervals = &bits6.value();
+    options.intervals_b = other;
+    const SnapshotQueryResult join = core::SnapshotJoin(snap, snap, options);
+    EXPECT_EQ(join.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(join.pairs.empty());
+    const SnapshotQueryResult within =
+        core::SnapshotDistanceJoin(snap, snap, 4.0, options);
+    EXPECT_EQ(within.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(within.pairs.empty());
+  }
+  // The same store on both sides still joins exactly.
+  SnapshotQueryOptions options;
+  options.degrade = DegradeLevel::kIntervalsOnly;
+  options.intervals = &bits6.value();
+  options.intervals_b = &bits6.value();
+  const SnapshotQueryResult got = core::SnapshotJoin(snap, snap, options);
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(Sorted(got.pairs), core::OracleJoin(snap, snap));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, SnapshotQueryLadderTest,
@@ -181,7 +222,7 @@ TEST(DegradedHwConfigTest, LadderIsCumulativeAndDeterministic) {
   EXPECT_FALSE(l3.use_batching);
   EXPECT_EQ(l3.resolution, 4);
 
-  // Only the last rung consults the slot interval grids.
+  // Only the last rung consults the interval stores.
   EXPECT_FALSE(l0.use_intervals);
   EXPECT_FALSE(l2.use_intervals);
   EXPECT_TRUE(l3.use_intervals);

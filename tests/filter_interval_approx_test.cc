@@ -2,14 +2,16 @@
 // Hilbert index properties, golden cell classification on hand-checkable
 // grids, degenerate-object all-PARTIAL behaviour (and the matching
 // RasterSignature guard), budget/fault degradation to unapproximated,
-// config-keyed cache reuse, and the paranoid oracle over the interval
-// filter's accept and reject sides.
+// config-keyed cache reuse, concurrent lazy fills of a mutable store's
+// slots, and the paranoid oracle over the interval filter's accept and
+// reject sides.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,8 @@
 #include "geom/box.h"
 #include "geom/point.h"
 #include "geom/polygon.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 
 namespace hasj {
 namespace {
@@ -348,6 +352,69 @@ TEST(IntervalApproxTest, ClippedQueriesOutsideTheFrameStaySound) {
   EXPECT_EQ(DecidePair(outside_iv, built.value().object(0)),
             IntervalVerdict::kMiss);
   ASSERT_FALSE(algo::PolygonsIntersect(outside, polygons[0]));
+}
+
+// A lazily filled store under concurrent first reads (scripts/check_tsan.sh
+// runs this under TSan): threads starting at different ids race for every
+// slot's first fill, yet each slot is filled once, every reader sees the
+// same object, and its lists equal the bulk build's.
+TEST(LazyIntervalApproxTest, ConcurrentFillsMatchBulkBuild) {
+  const geom::Box frame(0, 0, 8, 8);
+  std::vector<geom::Polygon> polygons;
+  for (int i = 0; i < 48; ++i) {
+    const double x = 0.15 * (i % 8);
+    const double y = 0.9 * (i / 8);
+    polygons.push_back(BoxPolygon(x, y, x + 0.5 + 0.6 * (i % 5), y + 1.3));
+  }
+  IntervalApproxConfig config;
+  config.grid_bits = 6;
+  const Result<IntervalApprox> bulk =
+      BuildIntervalApprox(polygons, frame, config);
+  ASSERT_TRUE(bulk.ok());
+  obs::Registry metrics;
+  config.metrics = &metrics;
+  const Result<IntervalApprox> lazy =
+      filter::LazyIntervalApprox(frame, polygons.size(), config);
+  ASSERT_TRUE(lazy.ok());
+
+  constexpr int kThreads = 4;
+  const size_t n = polygons.size();
+  std::vector<std::vector<const ObjectIntervals*>> seen(
+      kThreads, std::vector<const ObjectIntervals*>(n, nullptr));
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t k = 0; k < n; ++k) {
+        const size_t id = (k + static_cast<size_t>(t) * 5) % n;
+        seen[static_cast<size_t>(t)][id] =
+            &lazy.value().Get(static_cast<int64_t>(id), polygons[id]);
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  for (size_t id = 0; id < n; ++id) {
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[static_cast<size_t>(t)][id], seen[0][id]) << "id " << id;
+    }
+    const ObjectIntervals& want = bulk.value().object(id);
+    const ObjectIntervals& got = *seen[0][id];
+    ASSERT_TRUE(want.approximated) << "id " << id;
+    EXPECT_EQ(got.approximated, want.approximated) << "id " << id;
+    ASSERT_EQ(got.all.size(), want.all.size()) << "id " << id;
+    ASSERT_EQ(got.full.size(), want.full.size()) << "id " << id;
+    for (size_t j = 0; j < want.all.size(); ++j) {
+      EXPECT_EQ(got.all[j].lo, want.all[j].lo) << "id " << id;
+      EXPECT_EQ(got.all[j].hi, want.all[j].hi) << "id " << id;
+    }
+    for (size_t j = 0; j < want.full.size(); ++j) {
+      EXPECT_EQ(got.full[j].lo, want.full[j].lo) << "id " << id;
+      EXPECT_EQ(got.full[j].hi, want.full[j].hi) << "id " << id;
+    }
+  }
+  // One fill per slot, however many threads raced for it.
+  EXPECT_EQ(metrics.Snapshot().counter(obs::kIntervalObjects),
+            static_cast<int64_t>(n));
 }
 
 TEST(IntervalParanoidTest, OracleFiresOnBothWrongSides) {

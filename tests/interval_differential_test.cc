@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -156,29 +157,66 @@ TEST(IntervalDifferential, FaultDegradationIsNeverWrong) {
   }
 }
 
+bool SameCells(const std::vector<filter::CellInterval>& a,
+               const std::vector<filter::CellInterval>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const filter::CellInterval& x,
+                       const filter::CellInterval& y) {
+                      return x.lo == y.lo && x.hi == y.hi;
+                    });
+}
+
 TEST(IntervalDifferential, QueryApproximationMatchesDatasetBuild) {
+  // Two other paths must agree with the batch builder on the same grid:
   // ApproximateObject (the ad-hoc query path used by the selection
-  // pipelines) must agree with the batch builder on the same grid: same
-  // decision against every dataset object.
+  // pipelines) decides the same against every dataset object, and a lazily
+  // filled store (the mutable store's path) holds the same lists in every
+  // slot. The zero budget's 256-byte minimum share leaves some objects
+  // unapproximated, so the lazy store must apply the same byte share.
   const uint64_t seed = TestSeed(1803);
   SCOPED_TRACE(SeedTrace(seed));
   const std::vector<PairSample> corpus = MakeCorpus(seed, 500);
+  const int64_t default_budget = IntervalApproxConfig{}.memory_budget_bytes;
   for (const int grid_bits : {4, 7}) {
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      const PairSample& sample = corpus[i];
-      geom::Box frame = sample.a.Bounds();
-      frame.Extend(sample.b.Bounds());
-      IntervalApproxConfig config;
-      config.grid_bits = grid_bits;
-      const std::vector<Polygon> polygons = {sample.a, sample.b};
-      const Result<IntervalApprox> built =
-          BuildIntervalApprox(polygons, frame, config);
-      ASSERT_TRUE(built.ok());
-      const filter::ObjectIntervals adhoc =
-          built.value().ApproximateObject(sample.b);
-      EXPECT_EQ(DecidePair(built.value().object(0), adhoc),
-                DecidePair(built.value().object(0), built.value().object(1)))
-          << "pair " << i << " at grid_bits " << grid_bits;
+    for (const int64_t budget : {default_budget, int64_t{0}}) {
+      int64_t unapproximated = 0;
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        const PairSample& sample = corpus[i];
+        geom::Box frame = sample.a.Bounds();
+        frame.Extend(sample.b.Bounds());
+        IntervalApproxConfig config;
+        config.grid_bits = grid_bits;
+        config.memory_budget_bytes = budget;
+        const std::vector<Polygon> polygons = {sample.a, sample.b};
+        const Result<IntervalApprox> built =
+            BuildIntervalApprox(polygons, frame, config);
+        const Result<IntervalApprox> lazy =
+            filter::LazyIntervalApprox(frame, polygons.size(), config);
+        ASSERT_TRUE(built.ok());
+        ASSERT_TRUE(lazy.ok());
+        for (size_t k = 0; k < polygons.size(); ++k) {
+          const filter::ObjectIntervals& bulk = built.value().object(k);
+          const filter::ObjectIntervals& filled =
+              lazy.value().Get(static_cast<int64_t>(k), polygons[k]);
+          EXPECT_EQ(filled.approximated, bulk.approximated)
+              << "pair " << i << " object " << k << " at grid_bits "
+              << grid_bits << ", budget " << budget;
+          EXPECT_TRUE(SameCells(filled.all, bulk.all) &&
+                      SameCells(filled.full, bulk.full))
+              << "pair " << i << " object " << k << " at grid_bits "
+              << grid_bits << ", budget " << budget;
+          if (!bulk.approximated) ++unapproximated;
+        }
+        if (budget != default_budget) continue;
+        const filter::ObjectIntervals adhoc =
+            built.value().ApproximateObject(sample.b);
+        EXPECT_EQ(DecidePair(built.value().object(0), adhoc),
+                  DecidePair(built.value().object(0), built.value().object(1)))
+            << "pair " << i << " at grid_bits " << grid_bits;
+      }
+      if (budget == 0) {
+        EXPECT_GT(unapproximated, 0) << "grid_bits " << grid_bits;
+      }
     }
   }
 }

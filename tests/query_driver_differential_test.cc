@@ -45,7 +45,7 @@
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/versioned_dataset.h"
-#include "filter/slot_interval_grid.h"
+#include "filter/interval_approx.h"
 #include "geom/box.h"
 #include "geom/polygon.h"
 
@@ -441,9 +441,9 @@ TEST_F(QueryDriverDifferentialTest, SnapshotFormsMatchGoldens) {
   const data::VersionedDataset::Snapshot a = store_a->snapshot();
   const data::VersionedDataset::Snapshot b = store_b->snapshot();
   const geom::Box frame(0, 0, kExtent, kExtent);
-  auto grid_a = filter::SlotIntervalGrid::Create(
+  auto grid_a = filter::LazyIntervalApprox(
       frame, store_a->capacity(), {.grid_bits = kIntervalGridBits});
-  auto grid_b = filter::SlotIntervalGrid::Create(
+  auto grid_b = filter::LazyIntervalApprox(
       frame, store_b->capacity(), {.grid_bits = kIntervalGridBits});
   ASSERT_TRUE(grid_a.ok());
   ASSERT_TRUE(grid_b.ok());
